@@ -1,4 +1,4 @@
-"""Streaming counts up to 10^12 and the first repeated value.
+"""Counts up to 10^12 and the first repeated value.
 
 Below 10^7 every representable integer has exactly one window, so the
 distinct and multiplicity counts agree. Somewhere past that they split.
@@ -10,16 +10,13 @@ Run:  python demos/04_large_scale_and_collisions.py
 
 import time
 
-import numpy as np
-
 from cpsq import (
-    count_windows,
+    count_sums,
+    enumerate_representations,
     find_representations,
-    max_window_length,
     sieve_primes,
     upper_bound,
 )
-from cpsq import count_sums
 
 table = sieve_primes(10**6)  # covers x up to 10^12
 
@@ -35,17 +32,9 @@ for e in range(7, 13):
           f"{repeats:>8} {r.multiplicity_count / upper_bound(x):>9.1%} {dt:>8.2f}")
 
 # hunt down the smallest repeated value (it lives below 10^8)
-x = 10**8
 small = sieve_primes(10**4)
-mirror = small.prefix_i64()
-lengths = range(1, max_window_length(x, small) + 1)
-batches = [
-    mirror[m : m + c] - mirror[:c]
-    for m in lengths
-    if (c := count_windows(x, m, small))
-]
-values, counts = np.unique(np.concatenate(batches), return_counts=True)
-first = int(values[counts > 1][0])
+values = sorted(rep.value for rep in enumerate_representations(10**8, small))
+first = min(a for a, b in zip(values, values[1:]) if a == b)
 
 print(f"\nsmallest value with two representations: {first}")
 for rep in find_representations(first, small):

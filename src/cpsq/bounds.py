@@ -40,13 +40,13 @@ from math import fsum, isqrt, log
 
 from .errors import ApplicabilityError, DomainError
 from .primes import (
+    DusartCheck,
     PrimeTable,
     check_dusart,
     check_rosser,
     prime_count,
     sieve_primes,
 )
-from .primes import DusartCheck
 from .reports import (
     FAIL,
     INCONCLUSIVE,
@@ -104,42 +104,29 @@ def upper_bound(x: int, *, sharp: bool = False) -> float:
     return coeff * float(x) ** (2 / 3) / log(x) ** (4 / 3)
 
 
-# ---------------------------------------------------------------------------
-# auxiliary tables for checks that need prefix sums past the query point
-# ---------------------------------------------------------------------------
-
-_aux_table: PrimeTable | None = None
-
-
-def _prefix_table(x: int, min_primes: int = 0) -> PrimeTable:
-    """A table whose prefix sums pass x, growing a module-level one on demand."""
-    global _aux_table
-    t = _aux_table
-    if t is not None and t.square_prefix[-1] > x and len(t) >= min_primes:
-        return t
-    limit = 64 if t is None else max(64, 4 * t.limit)
-    while True:
-        t = sieve_primes(limit)
-        if t.square_prefix[-1] > x and len(t) >= min_primes:
-            break
+def _covering_table(x: int, table: PrimeTable | None) -> tuple[int, PrimeTable]:
+    """M(x), and ``table`` if it holds M(x) primes and S_K > x, else a table
+    sieved for this call from limit 64 up, four times larger each try."""
+    if x < 2:
+        raise DomainError(f"window cap needs x >= 2, got {x}")
+    need = math.floor(CAP_COEFF * float(x) ** (1 / 3) / log(x) ** (2 / 3))
+    limit = 64
+    while table is None or len(table) < need or table.prefix_sum(len(table)) <= x:
+        table = sieve_primes(limit)
         limit *= 4
-    _aux_table = t
-    return t
+    return need, table
 
 
 def analytic_max_window(x: int, table: PrimeTable | None = None) -> WindowCap:
     """Both window caps at x: closed-form M(x) and the exact S_m bracket.
 
     The exact cap is read off the prefix sums of ``table`` when it reaches
-    past x, otherwise from an internally grown table. Nothing downstream of
-    the enumerator ever consumes ``analytic_m``; it exists to be checked.
+    past x and holds M(x) primes, otherwise from a table sieved for this
+    call. Nothing downstream of the enumerator ever consumes
+    ``analytic_m``; it exists to be checked.
     """
     x = int(x)
-    if x < 2:
-        raise DomainError(f"window cap needs x >= 2, got {x}")
-    analytic = math.floor(CAP_COEFF * float(x) ** (1 / 3) / log(x) ** (2 / 3))
-    if table is None or table.square_prefix[-1] <= x:
-        table = _prefix_table(x)
+    analytic, table = _covering_table(x, table)
     exact = max_window_length(x, table)
     return WindowCap(x=x, analytic_m=analytic, exact_m=exact, alpha=None)
 
@@ -201,21 +188,17 @@ def check_window_cap_substitution(
     is defensive only. The verdict is informational: consumers report it
     but do not gate on it.
     """
-    cap = analytic_max_window(x, table)
-    m_cap = cap.analytic_m
+    x = int(x)
+    m_cap, table = _covering_table(x, table)
     applicable = m_cap >= 4
     substituted = fsum((n * log(n)) ** 2 for n in range(2, m_cap + 1))
-    aux = table
-    if aux is None or len(aux) < m_cap:
-        aux = _prefix_table(x, min_primes=m_cap)
-    prefix_at_cap = aux.square_prefix[m_cap]
     verdict = compare_strict(float(x), substituted) if applicable else INCONCLUSIVE
     return BoundReport(
         label="window-cap-substitution",
-        x_or_m=int(x),
+        x_or_m=x,
         lhs=float(x),
         rhs=substituted,
-        observed=prefix_at_cap,
+        observed=table.prefix_sum(m_cap),
         applicable=applicable,
         verdict=verdict,
     )

@@ -147,7 +147,7 @@ def parse_args(argv: list[str] | None = None) -> CliConfig:
     ns = build_parser().parse_args(argv)
     return CliConfig(
         command=ns.command,
-        x_or_target=getattr(ns, "x", None) or getattr(ns, "target", None),
+        x_or_target=ns.target if ns.command == "find" else getattr(ns, "x", None),
         format=ns.format,
         count_mode=getattr(ns, "count_mode", "both"),
         cache_dir=ns.cache_dir,
@@ -318,6 +318,9 @@ _HANDLERS = {
 def run(config: CliConfig) -> int:
     """Dispatch one parsed invocation and map failures to exit codes."""
     try:
+        x = config.x_or_target
+        if x is not None and x < 1:
+            raise ValueError(f"{config.command} needs a positive integer, got {x}")
         return _HANDLERS[config.command](config)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)

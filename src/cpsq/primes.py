@@ -1,11 +1,12 @@
 """Prime tables: segmented sieve, exact square prefix sums, explicit bounds.
 
-The sieve is an odd-only segmented sieve of Eratosthenes; peak memory is
-O(sqrt(limit) + segment), never O(limit). Alongside the primes, every table
-carries the prefix sums S_k = p_1^2 + ... + p_k^2 as exact Python integers
-(1-based, S_0 = 0), because the windowed enumeration downstream is defined
-entirely in terms of differences of these sums and must stay exact well past
-2e12.
+The sieve is an odd-only segmented sieve of Eratosthenes; its working set
+beyond the output is O(sqrt(limit) + segment). Alongside the primes, every
+table carries the prefix sums S_k = p_1^2 + ... + p_k^2 (1-based, S_0 = 0)
+as uint64 values mod 2^64. The windowed enumeration downstream only takes
+differences of these sums, and a difference mod 2^64 is exact whenever the
+true window value is below 2^64; each search in ``windows`` states why its
+probes stay below that.
 
 Two classical explicit bounds are wrapped as checks here:
 
@@ -16,10 +17,10 @@ Two classical explicit bounds are wrapped as checks here:
 from __future__ import annotations
 
 import math
+import os
 import struct
-from bisect import bisect_right
+import tempfile
 from dataclasses import dataclass
-from itertools import accumulate
 from math import isqrt
 from pathlib import Path
 
@@ -37,9 +38,10 @@ DUSART_UPPER_FACTOR = 1.2551
 #: N / ln N < pi(N) holds from this N on
 DUSART_LOWER_MIN_N = 17
 
-_INT64_MAX = 2**63 - 1
+#: largest table limit: every p <= MAX_LIMIT has p^2 < 2^63
+MAX_LIMIT = isqrt(2**63 - 1)
 
-#: refuse sieve requests whose output alone would pass this many bytes
+#: refuse sieve requests whose estimated allocation would pass this many bytes
 MAX_SIEVE_BYTES = 4 << 30
 
 CACHE_MAGIC = b"CPSQ1"
@@ -49,25 +51,27 @@ class PrimeTable:
     """Immutable table of the primes up to ``limit`` plus square prefix sums.
 
     ``primes`` is an ascending read-only int64 array; the k-th prime
-    (1-based, p_1 = 2) is ``primes[k - 1]``. ``square_prefix`` is the tuple
-    (S_0, S_1, ..., S_K) of exact integers with S_k - S_{k-1} = p_k^2.
-    Instances never mutate after construction and are safe to share between
-    threads.
+    (1-based, p_1 = 2) is ``primes[k - 1]``. ``square_prefix`` is the
+    read-only uint64 array (S_0, S_1, ..., S_K) of the prefix sums mod 2^64,
+    so ``square_prefix[k] - square_prefix[k - 1]`` is p_k^2 in uint64
+    arithmetic. Instances never mutate after construction and are safe to
+    share between threads.
     """
 
-    __slots__ = ("limit", "primes", "square_prefix", "_prefix_i64")
+    __slots__ = ("limit", "primes", "square_prefix")
 
     def __init__(self, limit: int, primes: np.ndarray) -> None:
-        limit = int(limit)
+        limit = _check_limit(limit)
         arr = np.ascontiguousarray(primes, dtype=np.int64)
         arr.flags.writeable = False
-        # p <= limit <= isqrt(2^63 - 1) keeps p*p inside int64 here; the
-        # running sums still need arbitrary precision, hence Python ints.
-        squares = (arr * arr).tolist()
+        prefix = np.zeros(arr.size + 1, dtype=np.uint64)
+        # p <= MAX_LIMIT keeps p*p exact in int64, which shares uint64's bits
+        np.multiply(arr, arr, out=prefix[1:].view(np.int64))
+        np.cumsum(prefix, out=prefix)
+        prefix.flags.writeable = False
         self.limit = limit
         self.primes = arr
-        self.square_prefix: tuple[int, ...] = (0, *accumulate(squares))
-        self._prefix_i64: np.ndarray | None = None
+        self.square_prefix = prefix
 
     def __len__(self) -> int:
         return int(self.primes.size)
@@ -75,23 +79,18 @@ class PrimeTable:
     def __repr__(self) -> str:
         return f"PrimeTable(limit={self.limit}, primes={len(self)})"
 
-    def prefix_i64(self) -> np.ndarray:
-        """Read-only int64 mirror of the longest representable prefix of S.
+    def prefix_sum(self, k: int) -> int:
+        """The exact S_k: ``square_prefix[k]`` plus 2^64 for each wrap up to k."""
+        sp = self.square_prefix
+        wraps = int(np.count_nonzero(sp[1 : k + 1] < sp[:k]))
+        return (wraps << 64) + int(sp[k])
 
-        For every supported limit the whole of S fits; if a future caller
-        sieves far enough that S_K overflows int64, the mirror simply stops
-        at the last representable entry and callers fall back to the exact
-        tuple.
-        """
-        if self._prefix_i64 is None:
-            sp = self.square_prefix
-            cut = len(sp)
-            if sp[-1] > _INT64_MAX:
-                cut = bisect_right(sp, _INT64_MAX)
-            mirror = np.fromiter(sp[:cut], dtype=np.int64, count=cut)
-            mirror.flags.writeable = False
-            self._prefix_i64 = mirror
-        return self._prefix_i64
+
+def _check_limit(limit: int) -> int:
+    limit = int(limit)
+    if limit > MAX_LIMIT:
+        raise ResourceLimitError(f"limit={limit} is above the supported {MAX_LIMIT}")
+    return limit
 
 
 def _dense_sieve(limit: int) -> np.ndarray:
@@ -112,7 +111,11 @@ def _estimated_output_bytes(limit: int, segment_odds: int) -> int:
     else:
         # pi(x) < 1.2551 x / ln x for x > 1, so this over-estimates.
         count = int(DUSART_UPPER_FACTOR * limit / math.log(limit)) + 16
-    return 8 * count + segment_odds + isqrt(limit)
+    segments = limit // (2 * segment_odds) + 1
+    # 8 B a prime each for the chunks, the concatenated primes and
+    # square_prefix, which all live at once; one segment's mask; the base
+    # sieve; an array object per chunk; a few fixed-size objects
+    return 24 * count + segment_odds + 9 * isqrt(limit) + 320 * segments + 4096
 
 
 def sieve_primes(limit: int, segment_odds: int = DEFAULT_SEGMENT_ODDS) -> PrimeTable:
@@ -120,8 +123,9 @@ def sieve_primes(limit: int, segment_odds: int = DEFAULT_SEGMENT_ODDS) -> PrimeT
 
     ``segment_odds`` is the number of odd candidates handled per segment;
     shrinking it trades a little speed for a smaller working set. Requests
-    whose output would exceed MAX_SIEVE_BYTES raise ResourceLimitError
-    before anything is allocated.
+    whose estimated allocation would exceed MAX_SIEVE_BYTES, or whose limit
+    is above MAX_LIMIT, raise ResourceLimitError before anything is
+    allocated.
     """
     limit = int(limit)
     if limit < 0:
@@ -134,6 +138,7 @@ def sieve_primes(limit: int, segment_odds: int = DEFAULT_SEGMENT_ODDS) -> PrimeT
             f"sieving to limit={limit} needs an estimated {est} bytes, "
             f"above the {MAX_SIEVE_BYTES} byte ceiling"
         )
+    _check_limit(limit)
     if limit < 2:
         return PrimeTable(limit, np.empty(0, dtype=np.int64))
 
@@ -153,7 +158,7 @@ def sieve_primes(limit: int, segment_odds: int = DEFAULT_SEGMENT_ODDS) -> PrimeT
                 start += p
             if start < high:
                 mask[(start - low) // 2 :: p] = False
-        chunks.append(low + 2 * np.flatnonzero(mask).astype(np.int64))
+        chunks.append(low + 2 * np.flatnonzero(mask))
         low += span
     return PrimeTable(limit, np.concatenate(chunks))
 
@@ -249,20 +254,29 @@ def check_rosser(n: int, table: PrimeTable) -> BoundReport:
 # ---------------------------------------------------------------------------
 
 def save_table(table: PrimeTable, path: str | Path) -> None:
-    """Write the table's primes to ``path`` in the CPSQ1 cache format."""
+    """Write the table's primes to ``path`` in the CPSQ1 cache format.
+
+    Each writer goes through a temporary file of its own in the same
+    directory, so concurrent writers never interleave their bytes; the last
+    rename wins.
+    """
     path = Path(path)
     payload = table.primes.astype("<u8").tobytes()
     header = CACHE_MAGIC + struct.pack("<QQ", table.limit, len(table))
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(header + payload)
-    tmp.replace(path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as out:
+            out.write(header + payload)
+        os.replace(tmp, path)
+    finally:
+        Path(tmp).unlink(missing_ok=True)  # left only if the rename failed
 
 
 def load_table(path: str | Path) -> PrimeTable:
     """Read a CPSQ1 cache file back into a PrimeTable.
 
-    The square prefix sums are recomputed from scratch and the structural
-    invariants of the prime list (ascending, first prime 2, odd beyond the
+    The structural invariants of the prime list (as many primes as Dusart's
+    bounds allow for pi(limit), ascending, first prime 2, odd beyond the
     first, within the stored limit) are re-validated; any violation raises
     ValueError rather than returning a corrupt table.
     """
@@ -276,6 +290,11 @@ def load_table(path: str | Path) -> PrimeTable:
             f"{path}: truncated cache (expected {count} primes, "
             f"{len(raw) - head} payload bytes present)"
         )
+    # Dusart: N / ln N < pi(N) from N = 17 on, pi(N) < 1.2551 N / ln N
+    bound = limit / math.log(limit) if limit >= 2 else 0
+    low = bound if limit >= DUSART_LOWER_MIN_N else 0
+    if limit >= 2 and not low < count < DUSART_UPPER_FACTOR * bound:
+        raise ValueError(f"{path}: {count} cached primes cannot be pi({limit})")
     primes = np.frombuffer(raw, dtype="<u8", offset=head).astype(np.int64)
     if primes.size:
         if primes[0] != 2 and limit >= 2:
@@ -286,8 +305,4 @@ def load_table(path: str | Path) -> PrimeTable:
             raise ValueError(f"{path}: cached primes are not strictly increasing")
         if primes.size > 1 and np.any(primes[1:] % 2 == 0):
             raise ValueError(f"{path}: cached primes contain an even entry > 2")
-    table = PrimeTable(int(limit), primes)
-    sp = table.square_prefix
-    if any(sp[k] >= sp[k + 1] for k in range(len(sp) - 1)):
-        raise ValueError(f"{path}: recomputed prefix sums are not increasing")
-    return table
+    return PrimeTable(int(limit), primes)

@@ -7,13 +7,15 @@ value is strictly increasing in n, so the windows with value <= x form a
 prefix n = 1..c_m, and the minimal value over n is S_m itself, which is
 strictly increasing in m. Those two monotonicities drive everything here:
 
-* enumeration walks lengths m = 1, 2, ... until S_m > x, carrying a single
-  pointer that only ever moves down (two-pointer scan, O(pi(sqrt x) + M)
-  pointer steps in total);
-* per-length counts and exact-value lookups are binary searches;
-* counting never materializes the representations; values are reduced per
-  length in vectorized batches and deduplicated at the end, so x around
-  1e12 streams through in bounded memory.
+* the walk finds c_m for m = 1, 2, ... until c_m = 0; since c_m never
+  exceeds c_{m-1}, each c_m is searched among starts 1..c_{m-1};
+* a single per-length count is one search of its own, capped at
+  pi(sqrt(x / m));
+* counting never materializes the representations: the window values, one
+  uint64 each, are sorted and adjacent duplicates dropped.
+
+Prefix sums are held mod 2^64, so a difference is a window's true value
+only below 2^64; each search states why its probes stay there.
 
 Counts come in two flavors and both are always computed: the number of
 distinct representable values (set semantics) and the number of windows
@@ -23,7 +25,6 @@ different windows; nothing here assumes they do or do not.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from math import isqrt
 from typing import Iterator
@@ -71,35 +72,61 @@ class CountReport:
     max_length_seen: int
 
 
-def _require_coverage(x: int, table: PrimeTable) -> None:
-    """Windows of value <= x only ever contain primes <= sqrt(x)."""
+def _covered(x: int, table: PrimeTable, name: str = "x") -> int:
+    """x as an int, checked positive and covered (windows <= x use primes <= sqrt x)."""
+    x = int(x)
+    if x < 1:
+        raise ValueError(f"{name} must be a positive integer, got {x}")
     need = isqrt(x)
     if table.limit < need:
         raise TableRangeError(
             f"table limit {table.limit} is below floor(sqrt({x})) = {need}; "
             f"sieve to at least {need} first"
         )
+    return x
 
 
-def _length_counts(x: int, table: PrimeTable) -> list[tuple[int, int]]:
-    """(m, c_m) for every length with at least one window of value <= x.
+def _last_start(x: int, m: int, hi: int, table: PrimeTable) -> int:
+    """The largest n <= hi with window (n, m) <= x, or 0 if there is none.
 
-    c_m is the count of start indices, found by a two-pointer scan: the
-    largest valid start for length m never grows as m does, so one pointer
-    walking down amortizes the whole scan.
+    Gallops down from hi, where callers' answers tend to sit, then bisects.
+    Exact only when every window (n, m) with n <= hi is below 2^64; each
+    caller states why that holds.
     """
-    sp = table.square_prefix
+    item = table.square_prefix.item
+
+    def fits(n: int) -> bool:
+        return (item(n + m - 1) - item(n - 1)) % (1 << 64) <= x
+
+    lo, step = hi, 1
+    while lo > 0 and not fits(lo):
+        hi = lo - 1
+        lo = max(hi - step, 0)
+        step *= 2
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if fits(mid):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _walk(x: int, table: PrimeTable) -> list[int]:
+    """c_m at index m - 1 for every length m with a window of value <= x.
+
+    c_m is searched among starts 1..c_{m-1}. Such a window (n, m) is one of
+    value <= x plus one prime <= limit, which PrimeTable's limit cap keeps
+    below 2^64 for every x the table covers.
+    """
     k = len(table)
+    counts: list[int] = []
     c = int(np.searchsorted(table.primes, isqrt(x), side="right"))
-    out: list[tuple[int, int]] = []
-    m = 1
     while c > 0:
-        out.append((m, c))
-        m += 1
-        c = min(c, k - m + 1)
-        while c > 0 and sp[c + m - 1] - sp[c - 1] > x:
-            c -= 1
-    return out
+        counts.append(c)
+        m = len(counts) + 1
+        c = _last_start(x, m, min(c, k - m + 1), table)
+    return counts
 
 
 def enumerate_representations(
@@ -107,85 +134,73 @@ def enumerate_representations(
 ) -> Iterator[Representation]:
     """Yield every window with value <= x, ordered by (length, start_index).
 
-    The table must cover floor(sqrt(x)). Yields lazily; consuming only a
-    prefix does only a prefix of the work.
+    The table must cover floor(sqrt(x)). Yields lazily; the per-length
+    counts are found up front, the windows one length at a time.
     """
-    x = int(x)
-    if x < 1:
-        raise ValueError(f"x must be a positive integer, got {x}")
-    _require_coverage(x, table)
+    x = _covered(x, table)
     sp = table.square_prefix
-    for m, c in _length_counts(x, table):
-        for n in range(1, c + 1):
-            yield Representation(n, m, sp[n + m - 1] - sp[n - 1])
+    for m, c in enumerate(_walk(x, table), 1):
+        # windows counted by the walk are <= x: exact differences
+        values = (sp[m : m + c] - sp[:c]).tolist()
+        for n, value in enumerate(values, 1):
+            yield Representation(n, m, value)
 
 
 def count_windows(x: int, length: int, table: PrimeTable) -> int:
     """Number of windows of the given length with value <= x.
 
-    Binary search on the start index; windows of a fixed length are
-    monotone in it. Returns 0 when even the first window S_length exceeds x.
+    A search on the start index; windows of a fixed length are monotone
+    in it. A length-m window below x starts at a prime p with
+    m p^2 <= x, which caps the search at pi(sqrt(x / m)). Returns 0 when
+    even the first window S_length exceeds x.
     """
-    x = int(x)
+    x = _covered(x, table)
     m = int(length)
-    if x < 1:
-        raise ValueError(f"x must be a positive integer, got {x}")
     if m < 1:
         raise ValueError(f"window length must be >= 1, got {m}")
-    _require_coverage(x, table)
-    sp = table.square_prefix
     k = len(table)
-    if m > k or sp[m] > x:
-        return 0
-    lo, hi = 1, k - m + 1
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if sp[mid + m - 1] - sp[mid - 1] <= x:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    hi = min(int(np.searchsorted(table.primes, isqrt(x // m), side="right")), k - m + 1)
+    # the windows searched hold m primes <= p_{hi+m-1}, so their values stay
+    # below 2^64 while m p_{hi+m-1}^2 does; past that, take c_m from the walk
+    if hi < 1 or m * int(table.primes[hi + m - 2]) ** 2 < 1 << 64:
+        return _last_start(x, m, hi, table)
+    counts = _walk(x, table)
+    return counts[m - 1] if m <= len(counts) else 0
+
+
+def _sorted_values(
+    counts: list[int], table: PrimeTable
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted values of the windows the walk counted (all <= x, so exact),
+    8 bytes each, and a mask marking the first of each run of equal values."""
+    sp = table.square_prefix
+    values = np.empty(sum(counts), dtype=np.uint64)
+    end = 0
+    for m, c in enumerate(counts, 1):
+        np.subtract(sp[m : m + c], sp[:c], out=values[end : end + c])
+        end += c
+    values.sort()
+    fresh = np.ones(values.size, dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=fresh[1:])
+    return values, fresh
 
 
 def count_sums(x: int, table: PrimeTable) -> CountReport:
     """Count representable values <= x under both semantics in one pass.
 
     Multiplicity is the sum of the per-length counts; distinct values are
-    deduplicated from per-length vectorized batches (the batches of window
-    values, not Representation objects, so nothing quadratic or per-object
-    survives the pass).
+    deduplicated by sorting the window values, 8 bytes each, so nothing
+    per-object survives the pass.
     """
-    x = int(x)
-    if x < 1:
-        raise ValueError(f"x must be a positive integer, got {x}")
-    _require_coverage(x, table)
-    counts = _length_counts(x, table)
-    per_length = {m: c for m, c in counts}
-    if not per_length:
-        per_length = {1: 0}
-    multiplicity = sum(per_length.values())
-    max_length = counts[-1][0] if counts else 0
-
-    distinct = 0
-    if counts:
-        top = max(c + m for m, c in counts)  # one past the largest index used
-        mirror = table.prefix_i64()
-        if top <= mirror.size:
-            batches = [mirror[m : m + c] - mirror[:c] for m, c in counts]
-            distinct = int(np.unique(np.concatenate(batches)).size)
-        else:
-            # prefix sums past int64: fall back to exact integers
-            sp = table.square_prefix
-            seen: set[int] = set()
-            for m, c in counts:
-                seen.update(sp[n + m - 1] - sp[n - 1] for n in range(1, c + 1))
-            distinct = len(seen)
+    x = _covered(x, table)
+    counts = _walk(x, table)
+    _, fresh = _sorted_values(counts, table)
     return CountReport(
         x=x,
-        distinct_count=distinct,
-        multiplicity_count=multiplicity,
-        per_length=per_length,
-        max_length_seen=max_length,
+        distinct_count=int(np.count_nonzero(fresh)),
+        multiplicity_count=sum(counts),
+        per_length=dict(enumerate(counts, 1)) or {1: 0},
+        max_length_seen=len(counts),
     )
 
 
@@ -193,50 +208,23 @@ def find_representations(target: int, table: PrimeTable) -> list[Representation]
     """All windows whose value equals ``target`` exactly, ordered by length.
 
     For each length the window value is strictly increasing in the start
-    index, so there is at most one hit per length and a binary search finds
-    it. Returns [] when the target is not representable.
+    index, so there is at most one hit per length: the last window with
+    value <= target, which the walk finds. Returns [] when the target is
+    not representable.
     """
-    target = int(target)
-    if target < 1:
-        raise ValueError(f"target must be a positive integer, got {target}")
-    _require_coverage(target, table)
+    target = _covered(target, table, "target")
     sp = table.square_prefix
-    k = len(table)
-    out: list[Representation] = []
-    m = 1
-    while m <= k and sp[m] <= target:
-        lo, hi = 1, k - m + 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if sp[mid + m - 1] - sp[mid - 1] < target:
-                lo = mid + 1
-            else:
-                hi = mid
-        if sp[lo + m - 1] - sp[lo - 1] == target:
-            out.append(Representation(lo, m, target))
-        m += 1
-    return out
+    counts = np.array(_walk(target, table), dtype=np.int64)
+    lengths = np.arange(1, counts.size + 1)
+    # window (c_m, m) has value <= target, so the difference is exact
+    hits = np.flatnonzero(sp[counts + lengths - 1] - sp[counts - 1] == target)
+    return [Representation(int(counts[i]), int(i) + 1, target) for i in hits]
 
 
 def values_up_to(x: int, table: PrimeTable) -> list[int]:
     """Sorted list of the distinct representable values <= x."""
-    x = int(x)
-    if x < 1:
-        raise ValueError(f"x must be a positive integer, got {x}")
-    _require_coverage(x, table)
-    counts = _length_counts(x, table)
-    if not counts:
-        return []
-    top = max(c + m for m, c in counts)
-    mirror = table.prefix_i64()
-    if top <= mirror.size:
-        batches = [mirror[m : m + c] - mirror[:c] for m, c in counts]
-        return [int(v) for v in np.unique(np.concatenate(batches))]
-    sp = table.square_prefix
-    seen: set[int] = set()
-    for m, c in counts:
-        seen.update(sp[n + m - 1] - sp[n - 1] for n in range(1, c + 1))
-    return sorted(seen)
+    values, fresh = _sorted_values(_walk(_covered(x, table), table), table)
+    return values[fresh].tolist()
 
 
 def max_window_length(x: int, table: PrimeTable) -> int:
@@ -250,9 +238,18 @@ def max_window_length(x: int, table: PrimeTable) -> int:
     if x < 1:
         raise ValueError(f"x must be a positive integer, got {x}")
     sp = table.square_prefix
-    if sp[-1] <= x:
-        raise TableRangeError(
-            f"prefix sums of this table end at S_{len(table)} = {sp[-1]} <= {x}; "
-            f"a longer table is needed to bracket the maximal window"
-        )
-    return bisect_right(sp, x) - 1
+    # the true S_k is 2^64 W_k + sp[k], where W_k counts the wraps
+    # sp[j] < sp[j-1] at j <= k; sp rises between wraps
+    wraps = np.flatnonzero(sp[1:] < sp[:-1]) + 1
+    quotient, rest = divmod(x, 1 << 64)
+    if quotient <= wraps.size:
+        lo = int(wraps[quotient - 1]) if quotient else 0
+        hi = int(wraps[quotient]) if quotient < wraps.size else sp.size
+        m = lo + int(np.searchsorted(sp[lo:hi], np.uint64(rest), side="right")) - 1
+        if m < len(table):
+            return m
+    raise TableRangeError(
+        f"prefix sums of this table end at S_{len(table)} = "
+        f"{table.prefix_sum(len(table))} <= {x}; "
+        f"a longer table is needed to bracket the maximal window"
+    )

@@ -6,7 +6,7 @@ import pytest
 
 import cpsq.bounds
 import cpsq.cli
-from cpsq import REFERENCE_VALUES, load_table
+from cpsq import REFERENCE_VALUES, PrimeTable, load_table, save_table, sieve_primes
 from cpsq.cli import main
 
 
@@ -142,6 +142,15 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["count", "list", "find", "maxlen"])
+@pytest.mark.parametrize("value", ["0", "-7"])
+def test_non_positive_argument_exits_2_with_one_line(capsys, command, value):
+    code, out, err = run_cli(capsys, command, value)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
@@ -185,6 +194,17 @@ def test_corrupt_cache_warns_and_recovers(capsys, tmp_path):
     assert "warning: ignoring cache" in err
     # and the fresh sieve was written back over the corrupt file
     assert load_table(cache_file).limit == 10**5
+
+
+def test_cache_with_too_few_primes_is_rebuilt(capsys, tmp_path):
+    cache_file = tmp_path / "cache" / "primes.cpsq"
+    cache_file.parent.mkdir()
+    save_table(PrimeTable(10**6, sieve_primes(1000).primes), cache_file)
+    code, out, err = run_cli(capsys, "count", "10^12", "--count-mode", "distinct")
+    assert code == 0
+    assert out == "x=1000000000000 distinct=8867054\n"
+    assert "warning: ignoring cache" in err
+    assert len(load_table(cache_file)) == 78498
 
 
 def test_small_tables_are_not_cached(capsys, tmp_path):

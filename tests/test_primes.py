@@ -1,14 +1,18 @@
 """Sieve, prefix sums, explicit prime bounds, and the on-disk cache."""
 
 import math
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cpsq.primes
 from cpsq import (
     DusartCheck,
+    PrimeTable,
     ResourceLimitError,
     TableRangeError,
     check_dusart,
@@ -19,6 +23,7 @@ from cpsq import (
     save_table,
     sieve_primes,
 )
+from cpsq.primes import DEFAULT_SEGMENT_ODDS, MAX_LIMIT, _estimated_output_bytes
 from oracles import prime_count_naive, trial_division_primes
 
 ORACLE_PRIMES_2048 = trial_division_primes(2048)
@@ -65,18 +70,16 @@ def test_sieve_sampled_limits_to_1e5():
 
 def test_square_prefix_invariants(table_small):
     sp = table_small.square_prefix
+    assert sp.dtype == np.uint64
+    assert not sp.flags.writeable
     assert sp[0] == 0
-    assert all(isinstance(s, int) for s in sp[:50])
-    for k in range(1, len(table_small) + 1):
-        assert sp[k] - sp[k - 1] == int(table_small.primes[k - 1]) ** 2
-    assert all(a < b for a, b in zip(sp, sp[1:]))
-
-
-def test_prefix_i64_mirror_matches_exact(table_small):
-    mirror = table_small.prefix_i64()
-    assert mirror.dtype == np.int64
-    assert not mirror.flags.writeable
-    assert mirror.tolist() == list(table_small.square_prefix)
+    squares = [int(p) ** 2 for p in table_small.primes]
+    assert np.diff(sp).tolist() == squares
+    assert all(a < b for a, b in zip(sp.tolist(), sp.tolist()[1:]))
+    exact = 0
+    for k, square in enumerate(squares, 1):
+        exact += square
+        assert table_small.prefix_sum(k) == exact
 
 
 def test_primes_array_is_read_only(table_small):
@@ -181,6 +184,34 @@ def test_oversized_sieve_is_refused_before_allocating():
         sieve_primes(10**15)
 
 
+@pytest.mark.parametrize("limit", [10**6, 10**7])
+def test_memory_estimate_covers_the_traced_peak(limit):
+    tracemalloc.start()
+    try:
+        table = sieve_primes(limit)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table) > 0
+    assert _estimated_output_bytes(limit, DEFAULT_SEGMENT_ODDS) >= peak
+
+
+def test_limit_cap_is_refused_before_allocating(monkeypatch):
+    assert MAX_LIMIT**2 < 2**63 <= (MAX_LIMIT + 1) ** 2
+    with pytest.raises(ResourceLimitError, match="above the supported"):
+        PrimeTable(MAX_LIMIT + 1, np.empty(0, dtype=np.int64))
+    # a lowered cap, so that a sieve which ignored it would stay small
+    monkeypatch.setattr(cpsq.primes, "MAX_LIMIT", 10**6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="above the supported"):
+            sieve_primes(10**6 + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # sieving to 10^6 peaks near 2.4 MB
+
+
 def test_sieve_rejects_bad_arguments():
     with pytest.raises(ValueError):
         sieve_primes(-1)
@@ -199,7 +230,7 @@ def test_cache_round_trip(tmp_path):
     back = load_table(path)
     assert back.limit == t.limit
     assert np.array_equal(back.primes, t.primes)
-    assert back.square_prefix == t.square_prefix
+    assert np.array_equal(back.square_prefix, t.square_prefix)
 
 
 def test_cache_round_trip_empty_table(tmp_path):
@@ -253,3 +284,36 @@ def test_cache_rejects_prime_past_limit(tmp_path):
     path.write_bytes(raw)
     with pytest.raises(ValueError):
         load_table(path)
+
+
+def test_cache_rejects_too_few_primes_for_its_limit(tmp_path):
+    # a header claiming limit 10^6 over the primes to 1000 once counted
+    # 14196 values below 10^12 instead of 8867054
+    path = tmp_path / "short-payload.cpsq"
+    save_table(PrimeTable(10**6, sieve_primes(1000).primes), path)
+    with pytest.raises(ValueError, match="cannot be pi"):
+        load_table(path)
+
+
+def test_concurrent_writers_leave_one_whole_table(tmp_path):
+    path = tmp_path / "primes.cpsq"
+    tables = [sieve_primes(limit) for limit in (10**5, 2 * 10**5, 3 * 10**5, 4 * 10**5)]
+    errors = []
+
+    def write(table):
+        try:
+            for _ in range(10):
+                save_table(table, path)
+        except Exception as exc:  # reported below, not lost in the thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=write, args=(t,)) for t in tables]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    back = load_table(path)
+    assert any(np.array_equal(back.primes, t.primes) for t in tables)
+    assert [p.name for p in tmp_path.iterdir()] == ["primes.cpsq"]

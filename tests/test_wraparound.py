@@ -1,0 +1,107 @@
+"""Prefix sums past 2^64: lookups and caps on a table whose S_K wraps.
+
+sieve_primes(10**7) ends at S_K ~ 2.07e19, past 2^64 ~ 1.84e19, so its
+square_prefix wraps once. Every answer here is compared against exact
+Python-int prefix sums of the same primes.
+"""
+
+import random
+from bisect import bisect_right
+from itertools import accumulate
+
+import numpy as np
+import pytest
+
+import cpsq.windows
+from cpsq import (
+    PrimeTable,
+    count_windows,
+    find_representations,
+    max_window_length,
+    sieve_primes,
+)
+from cpsq.primes import MAX_LIMIT
+
+
+@pytest.fixture(scope="module")
+def wrapped():
+    table = sieve_primes(10**7)
+    exact = [0, *accumulate(p * p for p in table.primes.tolist())]
+    assert exact[-1] >= 1 << 64
+    return table, exact
+
+
+def last_start(exact, x, m):
+    """Largest n with exact window (n, m) <= x, 0 when there is none."""
+    lo, hi = 0, len(exact) - m
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if exact[mid + m - 1] - exact[mid - 1] <= x:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def exact_representations(exact, target):
+    out = []
+    m = 1
+    while m < len(exact) and exact[m] <= target:
+        n = last_start(exact, target, m)
+        if exact[n + m - 1] - exact[n - 1] == target:
+            out.append((n, m))
+        m += 1
+    return out
+
+
+def test_find_windows_that_start_past_the_first_wrap(wrapped):
+    table, exact = wrapped
+    first_wrap = bisect_right(exact, (1 << 64) - 1)
+    rng = random.Random(20210119)
+    starts = rng.sample(range(first_wrap + 1, len(table) + 1), 20)
+    for n in starts:
+        target = exact[n] - exact[n - 1]  # a one-prime window: p_n^2 < 10^14
+        reps = find_representations(target, table)
+        assert (n, 1) in [(r.start_index, r.length) for r in reps]
+        assert [(r.start_index, r.length) for r in reps] == exact_representations(
+            exact, target
+        )
+        assert all(r.value == target for r in reps)
+
+
+def test_count_windows_at_1e14(wrapped):
+    table, exact = wrapped
+    x = 10**14
+    rng = random.Random(14)
+    lengths = [1, 2, 3, *rng.sample(range(4, 20_000), 12)]
+    for m in lengths:
+        assert count_windows(x, m, table) == last_start(exact, x, m), f"m={m}"
+
+
+def test_max_window_length_past_the_wrap(wrapped):
+    table, exact = wrapped
+    assert max_window_length(10**19, table) == 524136
+    for x in (1 << 64, 2 * 10**19, exact[-2], exact[-2] - 1, exact[-1] - 1):
+        assert max_window_length(x, table) == bisect_right(exact, x) - 1, x
+    assert table.prefix_sum(len(table)) == exact[-1]
+
+
+def test_count_windows_falls_back_to_the_walk(monkeypatch):
+    # not primes: PrimeTable never checks, and these squares make some
+    # length-4 windows pass 2^64 below the per-length search cap
+    values = [10**9, 11 * 10**8, 12 * 10**8, 3 * 10**9, 301 * 10**7, 302 * 10**7, 303 * 10**7]
+    table = PrimeTable(MAX_LIMIT, np.array(values))
+    exact = [0, *accumulate(v * v for v in values)]
+    x = 9 * 10**18
+    walks = []
+    walk = cpsq.windows._walk
+
+    def recorded_walk(*args):
+        walks.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(cpsq.windows, "_walk", recorded_walk)
+    assert count_windows(x, 4, table) == last_start(exact, x, 4) == 0
+    assert len(walks) == 1
+    for m in range(1, 8):
+        assert count_windows(x, m, table) == last_start(exact, x, m), f"m={m}"
