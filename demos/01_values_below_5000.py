@@ -18,7 +18,7 @@ from cpsq import (
 LIMIT = 5000
 
 table = sieve_primes(isqrt(LIMIT))
-values = values_up_to(LIMIT, table)
+values = values_up_to(LIMIT, table).tolist()
 
 print(f"{len(values)} values below {LIMIT}:\n")
 for row in range(0, len(values), 7):

@@ -59,6 +59,7 @@ from .windows import (
     enumerate_representations,
     find_representations,
     max_window_length,
+    multiplicity_count,
     values_up_to,
 )
 
@@ -107,6 +108,7 @@ __all__ = [
     "load_table",
     "lower_bound",
     "max_window_length",
+    "multiplicity_count",
     "nth_prime",
     "prime_count",
     "record_from_dict",

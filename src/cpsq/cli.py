@@ -23,13 +23,15 @@ from dataclasses import dataclass
 from math import isqrt
 from pathlib import Path
 
+import numpy as np
+
 from .bounds import INFORMATIONAL_LABELS, analytic_max_window, full_verification
 from .errors import ResourceLimitError
 from .primes import DEFAULT_SEGMENT_ODDS, PrimeTable, load_table, save_table, sieve_primes
 from .reference import REFERENCE_LIMIT, REFERENCE_VALUES
 from .reports import FAIL
-from .serialize import FORMATS, serialize_report
-from .windows import count_sums, find_representations, values_up_to
+from .serialize import FORMATS, serialize_report, write_values
+from .windows import count_sums, find_representations, multiplicity_count, values_up_to
 
 CACHE_ENV = "CPSQ_CACHE_DIR"
 CACHE_FILENAME = "primes.cpsq"
@@ -204,12 +206,14 @@ def provision_table(needed_limit: int, config: CliConfig) -> PrimeTable:
 def _cmd_count(config: CliConfig) -> int:
     x = config.x_or_target
     table = provision_table(isqrt(x), config)
+    if config.format == "text" and config.count_mode == "multiplicity":
+        # the number of windows needs the walk only, no dedup
+        print(f"x={x} multiplicity={multiplicity_count(x, table)}")
+        return 0
     report = count_sums(x, table)
     if config.format == "text":
         if config.count_mode == "distinct":
             print(f"x={report.x} distinct={report.distinct_count}")
-        elif config.count_mode == "multiplicity":
-            print(f"x={report.x} multiplicity={report.multiplicity_count}")
         else:
             print(serialize_report([report], "text"))
     else:
@@ -220,16 +224,7 @@ def _cmd_count(config: CliConfig) -> int:
 def _cmd_list(config: CliConfig) -> int:
     x = config.x_or_target
     table = provision_table(isqrt(x), config)
-    values = values_up_to(x, table)
-    if config.format == "json":
-        print(json.dumps(values))
-    elif config.format == "csv":
-        print("value")
-        for v in values:
-            print(v)
-    else:
-        for v in values:
-            print(v)
+    write_values(values_up_to(x, table), config.format, sys.stdout)
     return 0
 
 
@@ -274,8 +269,8 @@ def _cmd_verify(config: CliConfig) -> int:
 def _cmd_table_check(config: CliConfig) -> int:
     table = provision_table(isqrt(REFERENCE_LIMIT), config)
     computed = values_up_to(REFERENCE_LIMIT, table)
-    expected = list(REFERENCE_VALUES)
-    passed = computed == expected
+    expected = REFERENCE_VALUES
+    passed = bool(np.array_equal(computed, expected))
     if config.format == "json":
         print(
             json.dumps(
@@ -295,7 +290,7 @@ def _cmd_table_check(config: CliConfig) -> int:
         else:
             diffs = [
                 (i, e, c)
-                for i, (e, c) in enumerate(zip(expected, computed))
+                for i, (e, c) in enumerate(zip(expected, computed.tolist()))
                 if e != c
             ]
             print(

@@ -175,7 +175,8 @@ def prime_count(n: int, table: PrimeTable) -> int:
             f"pi({n}) is beyond this table (limit {table.limit}); "
             f"sieve to at least {n} first"
         )
-    return int(np.searchsorted(table.primes, n, side="right"))
+    # the array method skips np.searchsorted's dispatch, ~1 us a call less
+    return int(table.primes.searchsorted(n, "right"))
 
 
 def nth_prime(n: int, table: PrimeTable) -> int:

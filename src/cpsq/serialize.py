@@ -5,6 +5,10 @@ full round-trip precision, and ``record_from_dict`` reconstructs an equal
 record. Text and CSV are for eyes and spreadsheets; reals are shortened to
 6 significant digits there. All three forms are deterministic: fields stay
 in declaration order and mappings keep their (ascending) insertion order.
+
+Value lists (``write_values``) skip the per-value Python objects: a sorted
+uint64 array is turned into ASCII bytes by numpy, 2^16 values at a time,
+and written chunk by chunk.
 """
 
 from __future__ import annotations
@@ -13,7 +17,9 @@ import csv
 import io
 import json
 from dataclasses import asdict, fields, is_dataclass
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Sequence, TextIO
+
+import numpy as np
 
 from .primes import DusartCheck
 from .reports import BoundReport
@@ -23,6 +29,32 @@ from .bounds import WindowCap
 FORMATS = ("text", "json", "csv")
 
 Record = BoundReport | CountReport | Representation | WindowCap | DusartCheck
+
+#: values rendered per write by write_values
+VALUE_CHUNK = 1 << 16
+
+
+def _digit_groups() -> np.ndarray:
+    """The 4 ASCII digits of every i < 10^4, zero-padded, as one uint32
+    apiece: digit k of i is its k-th index in a 10 x 10 x 10 x 10 grid."""
+    grid = np.empty((10, 10, 10, 10, 4), dtype=np.uint8)
+    for k in range(4):
+        grid[..., k] = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8).reshape(
+            (10,) + (1,) * (3 - k)
+        )
+    return grid.view(np.uint32).ravel()
+
+
+_GROUPS = _digit_groups()
+_GROUP_BASE = np.uint64(10**4)
+_POW10 = np.array([10**k for k in range(1, 20)], dtype=np.uint64)
+
+#: write_values' (head, separator after each value, tail) per format
+_VALUE_LAYOUT = {
+    "text": ("", b"\n", ""),
+    "csv": ("value\n", b"\n", ""),
+    "json": ("[", b", ", "]\n"),
+}
 
 
 def _plain(value: Any) -> Any:
@@ -129,3 +161,48 @@ def serialize_report(records: Sequence[Record], fmt: str) -> str:
     if fmt == "text":
         return to_text(records)
     raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+
+
+def _render_values(chunk: np.ndarray, sep: bytes) -> np.ndarray:
+    """ASCII bytes of a nonempty sorted uint64 chunk, each value then ``sep``."""
+    top = len(str(int(chunk[-1])))  # digits of the largest value
+    groups = -(-top // 4)
+    block = np.empty((chunk.size, groups), dtype=np.uint32)
+    rest = chunk
+    for g in reversed(range(groups)):
+        quotient = rest // _GROUP_BASE
+        block[:, g] = _GROUPS[rest - quotient * _GROUP_BASE]
+        rest = quotient
+    digits = block.view(np.uint8)  # every value zero-padded to 4 * groups digits
+    # sorted values: those of w digits are one run, cut at the powers of 10
+    cuts = [0, *np.searchsorted(chunk, _POW10[: top - 1]).tolist(), chunk.size]
+    runs = [(w, lo, hi) for w, (lo, hi) in enumerate(zip(cuts, cuts[1:]), 1)]
+    out = np.empty(sum((hi - lo) * (w + len(sep)) for w, lo, hi in runs), dtype=np.uint8)
+    pos = 0
+    for w, lo, hi in runs:
+        rows = out[pos : pos + (hi - lo) * (w + len(sep))].reshape(hi - lo, w + len(sep))
+        rows[:, :w] = digits[lo:hi, 4 * groups - w :]
+        rows[:, w:] = np.frombuffer(sep, dtype=np.uint8)
+        pos += rows.size
+    return out
+
+
+def write_values(values: np.ndarray, fmt: str, stream: TextIO) -> None:
+    """Write sorted uint64 values to ``stream`` in one of FORMATS.
+
+    text is one value a line, csv the same under a ``value`` header, json
+    exactly ``json.dumps(list(values))`` and a newline. Values are rendered
+    VALUE_CHUNK at a time, so no Python object is made per value.
+    """
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    values = np.asarray(values, dtype=np.uint64)
+    head, sep, tail = _VALUE_LAYOUT[fmt]
+    stream.write(head)
+    for start in range(0, values.size, VALUE_CHUNK):
+        chunk = _render_values(values[start : start + VALUE_CHUNK], sep)
+        text = chunk.tobytes().decode("ascii")
+        if fmt == "json" and start + VALUE_CHUNK >= values.size:
+            text = text[: -len(sep)]  # json's ", " goes between values only
+        stream.write(text)
+    stream.write(tail)

@@ -12,7 +12,8 @@ strictly increasing in m. Those two monotonicities drive everything here:
 * a single per-length count is one search of its own, capped at
   pi(sqrt(x / m));
 * counting never materializes the representations: the window values, one
-  uint64 each, are sorted and adjacent duplicates dropped.
+  uint64 each, are sorted and adjacent duplicates dropped; the number of
+  windows alone needs no values at all, only the walk.
 
 Prefix sums are held mod 2^64, so a difference is a window's true value
 only below 2^64; each search states why its probes stay there.
@@ -31,7 +32,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import TableRangeError
+from . import primes
+from .errors import ResourceLimitError, TableRangeError
 from .primes import PrimeTable
 
 __all__ = [
@@ -40,6 +42,7 @@ __all__ = [
     "enumerate_representations",
     "count_windows",
     "count_sums",
+    "multiplicity_count",
     "find_representations",
     "values_up_to",
     "max_window_length",
@@ -169,12 +172,24 @@ def count_windows(x: int, length: int, table: PrimeTable) -> int:
 
 
 def _sorted_values(
-    counts: list[int], table: PrimeTable
+    counts: list[int], table: PrimeTable, bytes_per_window: int = 9
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sorted values of the windows the walk counted (all <= x, so exact),
-    8 bytes each, and a mask marking the first of each run of equal values."""
+    8 bytes each, and a mask marking the first of each run of equal values.
+
+    Refuses with ResourceLimitError, before allocating, when
+    ``bytes_per_window`` a window (9 for these two arrays, more for callers
+    that keep further ones) would pass primes.MAX_SIEVE_BYTES.
+    """
+    total = sum(counts)
+    if bytes_per_window * total > primes.MAX_SIEVE_BYTES:
+        raise ResourceLimitError(
+            f"deduplicating {total} window values needs an estimated "
+            f"{bytes_per_window * total} bytes, above the "
+            f"{primes.MAX_SIEVE_BYTES} byte ceiling"
+        )
     sp = table.square_prefix
-    values = np.empty(sum(counts), dtype=np.uint64)
+    values = np.empty(total, dtype=np.uint64)
     end = 0
     for m, c in enumerate(counts, 1):
         np.subtract(sp[m : m + c], sp[:c], out=values[end : end + c])
@@ -190,7 +205,8 @@ def count_sums(x: int, table: PrimeTable) -> CountReport:
 
     Multiplicity is the sum of the per-length counts; distinct values are
     deduplicated by sorting the window values, 8 bytes each, so nothing
-    per-object survives the pass.
+    per-object survives the pass. Raises ResourceLimitError when those
+    values and their mask would pass primes.MAX_SIEVE_BYTES.
     """
     x = _covered(x, table)
     counts = _walk(x, table)
@@ -202,6 +218,12 @@ def count_sums(x: int, table: PrimeTable) -> CountReport:
         per_length=dict(enumerate(counts, 1)) or {1: 0},
         max_length_seen=len(counts),
     )
+
+
+def multiplicity_count(x: int, table: PrimeTable) -> int:
+    """Number of windows with value <= x: count_sums' multiplicity alone,
+    from the walk, without building or sorting any value."""
+    return sum(_walk(_covered(x, table), table))
 
 
 def find_representations(target: int, table: PrimeTable) -> list[Representation]:
@@ -221,10 +243,14 @@ def find_representations(target: int, table: PrimeTable) -> list[Representation]
     return [Representation(int(counts[i]), int(i) + 1, target) for i in hits]
 
 
-def values_up_to(x: int, table: PrimeTable) -> list[int]:
-    """Sorted list of the distinct representable values <= x."""
-    values, fresh = _sorted_values(_walk(_covered(x, table), table), table)
-    return values[fresh].tolist()
+def values_up_to(x: int, table: PrimeTable) -> np.ndarray:
+    """The distinct representable values <= x, ascending, as a read-only
+    uint64 array. Cutting the duplicates takes up to 17 bytes a window,
+    refused past primes.MAX_SIEVE_BYTES."""
+    values, fresh = _sorted_values(_walk(_covered(x, table), table), table, 17)
+    distinct = values[fresh]
+    distinct.flags.writeable = False
+    return distinct
 
 
 def max_window_length(x: int, table: PrimeTable) -> int:

@@ -8,6 +8,7 @@ in its oracle.
 
 from __future__ import annotations
 
+import json
 from math import isqrt
 
 
@@ -56,3 +57,14 @@ def oracle_windows(x: int) -> list[tuple[int, int, int]]:
 
 def oracle_distinct_values(x: int) -> list[int]:
     return sorted({value for _, _, value in oracle_windows(x)})
+
+
+def printed_values(values: list[int], fmt: str) -> str:
+    """A value list as one print per value (text; csv under a ``value``
+    header) or one print of json.dumps (json)."""
+    lines = "".join(f"{v}\n" for v in values)
+    return {
+        "text": lines,
+        "csv": "value\n" + lines,
+        "json": json.dumps(values) + "\n",
+    }[fmt]

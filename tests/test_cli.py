@@ -1,13 +1,32 @@
 """End-to-end CLI behavior, run in-process through cpsq.cli.main."""
 
+import contextlib
+import io
 import json
+from math import isqrt
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import cpsq.bounds
 import cpsq.cli
-from cpsq import REFERENCE_VALUES, PrimeTable, load_table, save_table, sieve_primes
+import cpsq.primes
+from cpsq import (
+    DEFAULT_SEGMENT_ODDS,
+    REFERENCE_VALUES,
+    PrimeTable,
+    count_sums,
+    enumerate_representations,
+    load_table,
+    save_table,
+    sieve_primes,
+)
 from cpsq.cli import main
+from cpsq.primes import _estimated_output_bytes
+from cpsq.serialize import VALUE_CHUNK
+from oracles import printed_values
 
 
 @pytest.fixture(autouse=True)
@@ -42,6 +61,36 @@ def test_list_csv_and_json(capsys):
     code, out, _ = run_cli(capsys, "list", "50", "--format", "json")
     assert code == 0
     assert json.loads(out) == [4, 9, 13, 25, 34, 38, 49]
+
+
+def distinct_values(x, table):
+    return sorted({r.value for r in enumerate_representations(x, table)})
+
+
+# 3, 4: empty and one value; 10^k + 1: a new digit width starts; 3e9: past
+# two chunks of values
+@pytest.mark.parametrize(
+    "x", [1, 3, 4, 100, *(10**k + 1 for k in range(2, 10)), 3 * 10**9]
+)
+def test_list_matches_printing_each_value(capsys, table_big, x):
+    values = distinct_values(x, table_big)
+    assert x < 3 * 10**9 or len(values) > 2 * VALUE_CHUNK
+    for fmt in ("text", "csv", "json"):
+        code, out, err = run_cli(capsys, "list", str(x), "--format", fmt)
+        assert code == 0 and err == ""
+        assert out == printed_values(values, fmt)
+
+
+@given(
+    x=st.integers(min_value=1, max_value=10**6),
+    fmt=st.sampled_from(["text", "csv", "json"]),
+)
+@settings(max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_list_property_matches_printing_each_value(table_small, x, fmt):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["list", str(x), "--format", fmt]) == 0
+    assert out.getvalue() == printed_values(distinct_values(x, table_small), fmt)
 
 
 def test_count_modes(capsys):
@@ -129,6 +178,18 @@ def test_table_check_json(capsys):
         "expected_count": 91,
         "computed_count": 91,
     }
+
+
+def test_table_check_fail_names_first_differences(capsys, monkeypatch):
+    wrong = np.array(REFERENCE_VALUES, dtype=np.uint64)
+    wrong[2] += 1
+    monkeypatch.setattr(cpsq.cli, "values_up_to", lambda x, table: wrong)
+    code, out, _ = run_cli(capsys, "table-check")
+    assert code == 1
+    assert out == (
+        "table-check: FAIL (expected 91 values, computed 91; "
+        "first differences: [(2, 13, 14)])\n"
+    )
 
 
 def test_usage_errors_exit_2(capsys):
@@ -233,3 +294,32 @@ def test_segment_size_option_changes_nothing_visible(capsys):
     code, out, _ = run_cli(capsys, "list", "100", "--segment-size", "4")
     assert code == 0
     assert out.split() == ["4", "9", "13", "25", "34", "38", "49", "74", "83", "87"]
+
+
+def test_dedup_refusal_exits_3_and_multiplicity_still_answers(capsys, monkeypatch):
+    x = 3 * 10**9
+    windows = count_sums(x, sieve_primes(isqrt(x))).multiplicity_count
+    # a ceiling the sieve passes but the 9 bytes a window of the dedup do not
+    ceiling = _estimated_output_bytes(isqrt(x), DEFAULT_SEGMENT_ODDS)
+    assert ceiling < 9 * windows
+    monkeypatch.setattr(cpsq.primes, "MAX_SIEVE_BYTES", ceiling)
+    for argv in (
+        ["count", str(x)],
+        ["count", str(x), "--format", "json"],
+        ["list", str(x)],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+    code, out, err = run_cli(capsys, "count", str(x), "--count-mode", "multiplicity")
+    assert code == 0 and err == ""
+    assert out == f"x={x} multiplicity={windows}\n"
+
+
+@pytest.mark.parametrize("x", [3, 5000, 10**8, 10**10])
+def test_multiplicity_mode_matches_count_sums(capsys, table_big, x):
+    code, out, _ = run_cli(capsys, "count", str(x), "--count-mode", "multiplicity")
+    assert code == 0
+    assert out == f"x={x} multiplicity={count_sums(x, table_big).multiplicity_count}\n"

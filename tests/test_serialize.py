@@ -1,7 +1,9 @@
 """Round-trip and formatting guarantees for the three output forms."""
 
+import io
 import json
 
+import numpy as np
 import pytest
 
 from cpsq import (
@@ -15,7 +17,8 @@ from cpsq import (
     record_to_dict,
     serialize_report,
 )
-from cpsq.serialize import to_csv, to_json, to_text
+from cpsq.serialize import VALUE_CHUNK, to_csv, to_json, to_text, write_values
+from oracles import printed_values
 
 SAMPLE_BOUND = BoundReport(
     label="count-upper/distinct",
@@ -136,3 +139,51 @@ def test_serialize_report_dispatch_and_unknown_format():
     assert serialize_report([], "text") == ""
     with pytest.raises(ValueError, match="unknown format"):
         serialize_report([SAMPLE_BOUND], "yaml")
+
+
+def written_values(values, fmt):
+    out = io.StringIO()
+    write_values(np.array(values, dtype=np.uint64), fmt, out)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize(
+    "values",
+    [
+        [],
+        [7],
+        [4],
+        [10**19 - 1],
+        [10**19],
+        [2**64 - 1],
+        [0, 9, 10, 99, 100, 9999, 10**4, 10**19 - 1, 10**19, 2**64 - 1],
+        [10**k + d for k in range(20) for d in (-1, 0) if 10**k + d >= 0],
+    ],
+)
+def test_write_values_matches_printing_each_value(values, fmt):
+    assert written_values(values, fmt) == printed_values(values, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_write_values_across_chunk_edges(fmt):
+    values = sorted(
+        {int(v) for v in np.random.default_rng(7).integers(0, 10**13, 2 * VALUE_CHUNK + 5)}
+    )
+    for n in (VALUE_CHUNK, VALUE_CHUNK + 1, len(values)):
+        assert written_values(values[:n], fmt) == printed_values(values[:n], fmt)
+
+
+def test_write_values_writes_chunk_by_chunk():
+    writes = []
+
+    class Sink:
+        write = writes.append
+
+    write_values(np.arange(1, 2 * VALUE_CHUNK + 2, dtype=np.uint64), "text", Sink())
+    assert [w.count("\n") for w in writes if w] == [VALUE_CHUNK, VALUE_CHUNK, 1]
+
+
+def test_write_values_unknown_format():
+    with pytest.raises(ValueError, match="unknown format"):
+        write_values(np.array([4], dtype=np.uint64), "yaml", io.StringIO())

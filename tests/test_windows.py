@@ -2,19 +2,23 @@
 
 from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cpsq.primes
 from cpsq import (
     REFERENCE_VALUES,
     Representation,
+    ResourceLimitError,
     TableRangeError,
     count_sums,
     count_windows,
     enumerate_representations,
     find_representations,
     max_window_length,
+    multiplicity_count,
     prime_count,
     sieve_primes,
     values_up_to,
@@ -40,12 +44,19 @@ def test_enumerate_x_50_exact(table_small):
 
 
 def test_values_up_to_100(table_small):
-    assert values_up_to(100, table_small) == [4, 9, 13, 25, 34, 38, 49, 74, 83, 87]
+    assert values_up_to(100, table_small).tolist() == [4, 9, 13, 25, 34, 38, 49, 74, 83, 87]
+
+
+def test_values_up_to_is_a_read_only_uint64_array(table_small):
+    values = values_up_to(5000, table_small)
+    assert values.dtype == np.uint64
+    assert not values.flags.writeable
+    assert values_up_to(3, table_small).dtype == np.uint64
 
 
 def test_values_below_4_are_empty(table_small):
-    assert values_up_to(1, table_small) == []
-    assert values_up_to(3, table_small) == []
+    assert values_up_to(1, table_small).tolist() == []
+    assert values_up_to(3, table_small).tolist() == []
     with pytest.raises(ValueError):
         values_up_to(0, table_small)
 
@@ -75,6 +86,30 @@ def test_count_sums_below_first_value(table_small):
     assert report.multiplicity_count == 0
     assert report.per_length == {1: 0}
     assert report.max_length_seen == 0
+
+
+@pytest.mark.parametrize("x", [1, 3, 4, 50, 5000, 12345, 10**6, 10**8])
+def test_multiplicity_count_matches_count_sums(x, table_small):
+    expected = count_sums(x, table_small).multiplicity_count
+    assert multiplicity_count(x, table_small) == expected
+
+
+def test_dedup_refuses_past_the_byte_ceiling(table_small, monkeypatch):
+    windows = count_sums(10**6, table_small).multiplicity_count
+    # 9 bytes a window to count, 17 to list; both refused before allocating
+    monkeypatch.setattr(cpsq.primes, "MAX_SIEVE_BYTES", 9 * windows - 1)
+    with pytest.raises(ResourceLimitError, match=f"{windows} window values"):
+        count_sums(10**6, table_small)
+    with pytest.raises(ResourceLimitError):
+        values_up_to(10**6, table_small)
+    assert multiplicity_count(10**6, table_small) == windows
+    monkeypatch.setattr(cpsq.primes, "MAX_SIEVE_BYTES", 9 * windows)
+    assert count_sums(10**6, table_small).multiplicity_count == windows
+    with pytest.raises(ResourceLimitError, match=f"{17 * windows} bytes"):
+        values_up_to(10**6, table_small)
+    monkeypatch.setattr(cpsq.primes, "MAX_SIEVE_BYTES", 17 * windows)
+    distinct = count_sums(10**6, table_small).distinct_count
+    assert values_up_to(10**6, table_small).size == distinct
 
 
 def test_find_named_targets(table_small):
@@ -113,7 +148,7 @@ def test_coverage_guard_names_the_needed_limit():
 
 
 def test_reference_table_is_reproduced(table_small):
-    assert values_up_to(5000, table_small) == list(REFERENCE_VALUES)
+    assert values_up_to(5000, table_small).tolist() == list(REFERENCE_VALUES)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +163,7 @@ def test_enumeration_matches_oracle(x, table_small):
 
 @pytest.mark.parametrize("x", [4, 100, 5000, 12345])
 def test_distinct_values_match_oracle(x, table_small):
-    assert values_up_to(x, table_small) == oracle_distinct_values(x)
+    assert values_up_to(x, table_small).tolist() == oracle_distinct_values(x)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +209,7 @@ def test_every_enumerated_window_re_verifies(table_small, x):
 @given(st.integers(min_value=1, max_value=10**6))
 @settings(max_examples=50)
 def test_values_are_sorted_distinct_and_findable(table_small, x):
-    values = values_up_to(x, table_small)
+    values = values_up_to(x, table_small).tolist()
     assert all(a < b for a, b in zip(values, values[1:]))
     assert values == sorted({r.value for r in enumerate_representations(x, table_small)})
     report = count_sums(x, table_small)
