@@ -13,7 +13,12 @@ strictly increasing in m. Those two monotonicities drive everything here:
   pi(sqrt(x / m));
 * counting never materializes the representations: the window values, one
   uint64 each, are sorted and adjacent duplicates dropped; the number of
-  windows alone needs no values at all, only the walk.
+  windows alone needs no values at all, only the walk;
+* past SPLIT_WINDOWS windows, count_sums dedups 24 residue classes apart,
+  on a few threads: p^2 = 1 (mod 24) for every prime p >= 5, so a window
+  (n, m) with n >= 3 has value = m (mod 24) and equal values share a class
+  of value mod 24. Each class is a cache-sized sort of its own, and only
+  as many class buffers as threads are live at once.
 
 Prefix sums are held mod 2^64, so a difference is a window's true value
 only below 2^64; each search states why its probes stay there.
@@ -26,6 +31,8 @@ different windows; nothing here assumes they do or do not.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from math import isqrt
 from typing import Iterator
@@ -171,28 +178,61 @@ def count_windows(x: int, length: int, table: PrimeTable) -> int:
     return counts[m - 1] if m <= len(counts) else 0
 
 
+SPLIT_WINDOWS = 1 << 20
+"""count_sums dedups fewer windows than this in one piece on the calling
+thread, and more by residue class on up to _workers() threads."""
+
+_CLASSES = 24
+
+
+def _workers() -> int:
+    """Threads for the class split: the CPUs this process may run on, at
+    most one a class."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, _CLASSES)
+
+
+def _refuse_past_ceiling(windows: int, need: int) -> None:
+    """ResourceLimitError, before anything is allocated, when a dedup of
+    ``windows`` window values needs more than primes.MAX_SIEVE_BYTES."""
+    if need > primes.MAX_SIEVE_BYTES:
+        raise ResourceLimitError(
+            f"deduplicating {windows} window values needs an estimated "
+            f"{need} bytes, above the {primes.MAX_SIEVE_BYTES} byte ceiling"
+        )
+
+
 def _sorted_values(
-    counts: list[int], table: PrimeTable, bytes_per_window: int = 9
+    counts: list[int],
+    table: PrimeTable,
+    residue: int | None = None,
+    heads: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sorted values of the windows the walk counted (all <= x, so exact),
     8 bytes each, and a mask marking the first of each run of equal values.
 
-    Refuses with ResourceLimitError, before allocating, when
-    ``bytes_per_window`` a window (9 for these two arrays, more for callers
-    that keep further ones) would pass primes.MAX_SIEVE_BYTES.
+    With a ``residue`` r, only residue class r: the windows from starts
+    n >= 3 of every length m = r (mod 24), whose values are all = r, plus
+    ``heads``, the class's values of windows from p_1 = 2 and p_2 = 3.
+    Every c_m in ``counts`` must then be at least 3.
     """
-    total = sum(counts)
-    if bytes_per_window * total > primes.MAX_SIEVE_BYTES:
-        raise ResourceLimitError(
-            f"deduplicating {total} window values needs an estimated "
-            f"{bytes_per_window * total} bytes, above the "
-            f"{primes.MAX_SIEVE_BYTES} byte ceiling"
-        )
     sp = table.square_prefix
-    values = np.empty(total, dtype=np.uint64)
-    end = 0
-    for m, c in enumerate(counts, 1):
-        np.subtract(sp[m : m + c], sp[:c], out=values[end : end + c])
+    if residue is None:
+        skip, first, step = 0, 1, 1
+    else:
+        skip, first, step = 2, residue or _CLASSES, _CLASSES
+    runs = counts[first - 1 :: step]
+    extra = 0 if heads is None else heads.size
+    values = np.empty(extra + sum(runs) - skip * len(runs), dtype=np.uint64)
+    if extra:
+        values[:extra] = heads
+    end = extra
+    for m, c in zip(range(first, len(counts) + 1, step), runs):
+        c -= skip
+        np.subtract(sp[skip + m : skip + m + c], sp[skip : skip + c], out=values[end : end + c])
         end += c
     values.sort()
     fresh = np.ones(values.size, dtype=bool)
@@ -200,21 +240,92 @@ def _sorted_values(
     return values, fresh
 
 
+def _distinct_by_class(counts: list[int], table: PrimeTable) -> int:
+    """The number of distinct window values, as the sum over the 24 residue
+    classes of each class's own distinct count.
+
+    Refuses past primes.MAX_SIEVE_BYTES on the memory really held: 9 bytes
+    a window of the _workers() largest classes, the most that are ever
+    sorted at once, plus 32 bytes a head value while the heads are split.
+    An exception in any thread is raised here once every thread has ended.
+    """
+    sp = table.square_prefix
+    c = np.array(counts, dtype=np.int64)
+    # windows (1, m) for every length, (2, m) for the lengths with c_m >= 2,
+    # a prefix since c_m never grows
+    twos = np.count_nonzero(c >= 2)
+    heads = np.concatenate((sp[1 : c.size + 1] - sp[0], sp[2 : twos + 2] - sp[1]))
+    residues = (heads % _CLASSES).astype(np.uint8)
+    order = np.argsort(residues, kind="stable")
+    heads = heads[order]
+    cuts = np.searchsorted(residues[order], np.arange(_CLASSES + 1))
+    tails = np.maximum(c - 2, 0)  # the windows from starts n >= 3
+    sizes = np.bincount(np.arange(1, c.size + 1) % _CLASSES, tails, _CLASSES)
+    sizes = sizes.astype(np.int64) + np.diff(cuts)
+    long = counts[: np.count_nonzero(tails)]
+    workers = _workers()
+    _refuse_past_ceiling(
+        int(c.sum()), 9 * int(np.sort(sizes)[-workers:].sum()) + 32 * heads.size
+    )
+
+    distinct = [0] * _CLASSES
+    errors: list[BaseException] = []
+    lock = threading.Lock()
+    pending = iter(np.argsort(sizes)[::-1].tolist())  # largest first
+
+    def work() -> None:
+        try:
+            while not errors:
+                with lock:
+                    r = next(pending, None)
+                if r is None:
+                    return
+                # one statement, so the class's arrays are freed before the
+                # next class allocates its own
+                distinct[r] = int(np.count_nonzero(
+                    _sorted_values(long, table, r, heads[cuts[r] : cuts[r + 1]])[1]
+                ))
+        except BaseException as exc:  # re-raised by the calling thread
+            errors.append(exc)
+
+    threads: list[threading.Thread] = []
+    try:
+        for _ in range(workers - 1):
+            # daemon: an interrupt that ends the joins early must not leave
+            # the interpreter waiting at exit for the remaining classes
+            threads.append(threading.Thread(target=work, daemon=True))
+            threads[-1].start()
+        work()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return sum(distinct)
+
+
 def count_sums(x: int, table: PrimeTable) -> CountReport:
     """Count representable values <= x under both semantics in one pass.
 
     Multiplicity is the sum of the per-length counts; distinct values are
     deduplicated by sorting the window values, 8 bytes each, so nothing
-    per-object survives the pass. Raises ResourceLimitError when those
-    values and their mask would pass primes.MAX_SIEVE_BYTES.
+    per-object survives the pass. Past SPLIT_WINDOWS windows the sort runs
+    per residue class mod 24 on a few threads. Raises ResourceLimitError
+    when the values and masks held at once would pass
+    primes.MAX_SIEVE_BYTES.
     """
     x = _covered(x, table)
     counts = _walk(x, table)
-    _, fresh = _sorted_values(counts, table)
+    total = sum(counts)
+    if total < SPLIT_WINDOWS:
+        _refuse_past_ceiling(total, 9 * total)
+        distinct = int(np.count_nonzero(_sorted_values(counts, table)[1]))
+    else:
+        distinct = _distinct_by_class(counts, table)
     return CountReport(
         x=x,
-        distinct_count=int(np.count_nonzero(fresh)),
-        multiplicity_count=sum(counts),
+        distinct_count=distinct,
+        multiplicity_count=total,
         per_length=dict(enumerate(counts, 1)) or {1: 0},
         max_length_seen=len(counts),
     )
@@ -246,8 +357,12 @@ def find_representations(target: int, table: PrimeTable) -> list[Representation]
 def values_up_to(x: int, table: PrimeTable) -> np.ndarray:
     """The distinct representable values <= x, ascending, as a read-only
     uint64 array. Cutting the duplicates takes up to 17 bytes a window,
-    refused past primes.MAX_SIEVE_BYTES."""
-    values, fresh = _sorted_values(_walk(_covered(x, table), table), table, 17)
+    refused past primes.MAX_SIEVE_BYTES. One piece, never split by class:
+    the list is one ascending array."""
+    counts = _walk(_covered(x, table), table)
+    total = sum(counts)
+    _refuse_past_ceiling(total, 17 * total)
+    values, fresh = _sorted_values(counts, table)
     distinct = values[fresh]
     distinct.flags.writeable = False
     return distinct

@@ -1,5 +1,8 @@
 """Window enumeration, counting under both semantics, and exact lookups."""
 
+import sys
+import threading
+from collections import Counter
 from math import isqrt
 
 import numpy as np
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cpsq.primes
+import cpsq.windows
 from cpsq import (
     REFERENCE_VALUES,
     Representation,
@@ -237,3 +241,138 @@ def test_monotone_in_x(table_small, x):
     assert lo.multiplicity_count <= hi.multiplicity_count
     gained = hi.multiplicity_count - lo.multiplicity_count
     assert gained == len(find_representations(x, table_small))
+
+
+# ---------------------------------------------------------------------------
+# the dedup split by residue class mod 24 (SPLIT_WINDOWS patched low, so that
+# small x take the split path)
+# ---------------------------------------------------------------------------
+
+def test_windows_past_the_second_prime_have_value_equal_to_length_mod_24(table_big):
+    checked = 0
+    for rep in enumerate_representations(10**9, table_big):
+        if rep.start_index >= 3:
+            assert rep.value % 24 == rep.length % 24
+            checked += 1
+    assert checked > 10**5
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_split_counts_match_oracle(table_small, workers, monkeypatch):
+    # at 4, 13 and 100 the windows from 2 and 3 are alone in their classes
+    monkeypatch.setattr(cpsq.windows, "SPLIT_WINDOWS", 1)
+    monkeypatch.setattr(cpsq.windows, "_workers", lambda: workers)
+    for x in (1, 3, 4, 13, 100, 5000):
+        report = count_sums(x, table_small)
+        assert report.distinct_count == len(oracle_distinct_values(x))
+        assert report.multiplicity_count == len(oracle_windows(x))
+
+
+@given(st.integers(min_value=1, max_value=10**6), st.sampled_from([1, 2, 3]))
+@settings(max_examples=60)
+def test_split_distinct_count_matches_oracle(table_small, x, workers):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cpsq.windows, "SPLIT_WINDOWS", 1)
+        mp.setattr(cpsq.windows, "_workers", lambda: workers)
+        assert count_sums(x, table_small).distinct_count == len(oracle_distinct_values(x))
+
+
+def test_each_class_holds_the_windows_of_its_residue(table_small, monkeypatch):
+    # no value repeats below 10^6, so only the classes themselves show a
+    # window placed in the wrong one
+    real = cpsq.windows._sorted_values
+    classes = {}
+
+    def recording(counts, table, residue=None, heads=None):
+        values, fresh = real(counts, table, residue, heads)
+        classes[residue] = values.tolist()
+        return values, fresh
+
+    monkeypatch.setattr(cpsq.windows, "SPLIT_WINDOWS", 1)
+    monkeypatch.setattr(cpsq.windows, "_sorted_values", recording)
+    count_sums(10**6, table_small)
+    assert sorted(classes) == list(range(24))
+    for r, values in classes.items():
+        assert all(v % 24 == r for v in values)
+    windows = sorted(rep.value for rep in enumerate_representations(10**6, table_small))
+    assert sorted(v for values in classes.values() for v in values) == windows
+
+
+def test_split_with_more_threads_than_cpus_sorts_each_class_once(table_small, monkeypatch):
+    real = cpsq.windows._sorted_values
+    sorted_classes = []  # list.append is atomic, unlike a Counter's +=
+
+    def counting(counts, table, residue=None, heads=None):
+        sorted_classes.append(residue)
+        return real(counts, table, residue, heads)
+
+    expected = count_sums(10**8, table_small).distinct_count  # one piece
+    monkeypatch.setattr(cpsq.windows, "SPLIT_WINDOWS", 1)
+    monkeypatch.setattr(cpsq.windows, "_workers", lambda: 24)
+    monkeypatch.setattr(cpsq.windows, "_sorted_values", counting)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            assert count_sums(10**8, table_small).distinct_count == expected
+    finally:
+        sys.setswitchinterval(interval)
+    assert Counter(sorted_classes) == Counter({r: 5 for r in range(24)})
+
+
+def test_split_counts_at_1e12_and_1e13(table_big):
+    assert cpsq.windows.SPLIT_WINDOWS < 8_867_094  # both take the split path
+    report = count_sums(10**12, table_big)
+    assert (report.distinct_count, report.multiplicity_count) == (8_867_054, 8_867_094)
+    report = count_sums(10**13, sieve_primes(isqrt(10**13)))
+    assert (report.distinct_count, report.multiplicity_count) == (37_153_148, 37_153_225)
+
+
+def test_values_up_to_and_small_counts_start_no_thread(table_small, monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(cpsq.windows.threading, "Thread", no_thread)
+    distinct = count_sums(10**8, table_small).distinct_count
+    assert distinct == values_up_to(10**8, table_small).size
+    monkeypatch.setattr(cpsq.windows, "SPLIT_WINDOWS", 1)
+    assert values_up_to(5000, table_small).tolist() == list(REFERENCE_VALUES)
+
+
+def test_an_error_in_one_class_reaches_the_caller(table_small, monkeypatch):
+    real = cpsq.windows._sorted_values
+
+    def failing(counts, table, residue=None, heads=None):
+        if residue == 5:
+            raise MemoryError("class 5")
+        return real(counts, table, residue, heads)
+
+    monkeypatch.setattr(cpsq.windows, "SPLIT_WINDOWS", 1)
+    monkeypatch.setattr(cpsq.windows, "_sorted_values", failing)
+    before = threading.active_count()
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(cpsq.windows, "_workers", lambda: workers)
+        with pytest.raises(MemoryError, match="class 5"):
+            count_sums(10**6, table_small)
+        assert threading.active_count() == before
+
+
+def test_split_refuses_on_the_classes_held_at_once(table_small, monkeypatch):
+    sizes = [0] * 24
+    heads = 0
+    for rep in enumerate_representations(10**6, table_small):
+        sizes[rep.value % 24] += 1
+        heads += rep.start_index <= 2
+    windows = sum(sizes)
+    monkeypatch.setattr(cpsq.windows, "SPLIT_WINDOWS", 1)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(cpsq.windows, "_workers", lambda: workers)
+        # 9 bytes a window of the largest classes, one a thread, and 32 a head
+        estimate = 9 * sum(sorted(sizes)[-workers:]) + 32 * heads
+        assert estimate < 9 * windows
+        monkeypatch.setattr(cpsq.primes, "MAX_SIEVE_BYTES", estimate - 1)
+        refusal = f"{windows} window values .* {estimate} bytes"
+        with pytest.raises(ResourceLimitError, match=refusal):
+            count_sums(10**6, table_small)
+        monkeypatch.setattr(cpsq.primes, "MAX_SIEVE_BYTES", estimate)
+        assert count_sums(10**6, table_small).multiplicity_count == windows
