@@ -40,6 +40,7 @@ from math import fsum, isqrt, log
 
 from .errors import ApplicabilityError, DomainError
 from .primes import (
+    DUSART_LOWER_MIN_N,
     DusartCheck,
     PrimeTable,
     check_dusart,
@@ -79,14 +80,12 @@ class WindowCap:
     """Analytic and exact caps on the window length at threshold x.
 
     ``exact_m`` satisfies S_exact_m <= x < S_{exact_m + 1}; ``analytic_m``
-    is the closed-form cap. ``alpha`` is only populated when a cap is
-    quoted together with a partial-sum check at that exponent.
+    is the closed-form cap.
     """
 
     x: int
     analytic_m: int
     exact_m: int
-    alpha: float | None
 
 
 def lower_bound(x: int) -> float:
@@ -106,11 +105,16 @@ def upper_bound(x: int, *, sharp: bool = False) -> float:
 
 def _covering_table(x: int, table: PrimeTable | None) -> tuple[int, PrimeTable]:
     """M(x), and ``table`` if it holds M(x) primes and S_K > x, else a table
-    sieved for this call from limit 64 up, four times larger each try."""
+    sieved for this call, four times larger each try. The first try is the
+    least L >= 17 with L / ln L >= M(x), which holds M(x) primes by Dusart,
+    so a huge x is refused by its estimate before anything is allocated."""
     if x < 2:
         raise DomainError(f"window cap needs x >= 2, got {x}")
     need = math.floor(CAP_COEFF * float(x) ** (1 / 3) / log(x) ** (2 / 3))
-    limit = 64
+    # L <- ceil(M ln L) climbs from below to the least such L
+    limit = DUSART_LOWER_MIN_N
+    while limit / log(limit) < need:
+        limit = math.ceil(need * log(limit))
     while table is None or len(table) < need or table.prefix_sum(len(table)) <= x:
         table = sieve_primes(limit)
         limit *= 4
@@ -128,7 +132,7 @@ def analytic_max_window(x: int, table: PrimeTable | None = None) -> WindowCap:
     x = int(x)
     analytic, table = _covering_table(x, table)
     exact = max_window_length(x, table)
-    return WindowCap(x=x, analytic_m=analytic, exact_m=exact, alpha=None)
+    return WindowCap(x=x, analytic_m=analytic, exact_m=exact)
 
 
 def check_length_count_bound(x: int, m: int, table: PrimeTable) -> BoundReport:
@@ -183,24 +187,22 @@ def check_window_cap_substitution(
     This is the Rosser-side consequence that makes the analytic cap safe:
     since p_n > n ln n, the sum of the first M(x) prime squares S_M(x)
     (carried in ``observed``) exceeds the same threshold whenever the
-    substituted sum does. Applicability needs M(x) >= 4; for integer
-    x >= 2 the cap never actually drops below 5, so the inapplicable branch
-    is defensive only. The verdict is informational: consumers report it
-    but do not gate on it.
+    substituted sum does. It needs M(x) >= 4, which always holds: the real
+    function under the floor has its minimum 5.84 at x = e^2, so M(x) >= 5
+    for every x >= 2. The verdict is informational: consumers report it but
+    do not gate on it.
     """
     x = int(x)
     m_cap, table = _covering_table(x, table)
-    applicable = m_cap >= 4
     substituted = fsum((n * log(n)) ** 2 for n in range(2, m_cap + 1))
-    verdict = compare_strict(float(x), substituted) if applicable else INCONCLUSIVE
     return BoundReport(
         label="window-cap-substitution",
         x_or_m=x,
         lhs=float(x),
         rhs=substituted,
         observed=table.prefix_sum(m_cap),
-        applicable=applicable,
-        verdict=verdict,
+        applicable=True,
+        verdict=compare_strict(float(x), substituted),
     )
 
 
@@ -231,12 +233,6 @@ def check_partial_sum(m_cap: int, alpha: float) -> BoundReport:
     )
 
 
-def _holds_weakly(big: float, small: float, rel_margin: float = 1e-12) -> bool:
-    """big >= small up to fp tolerance (non-strict link of a chain)."""
-    scale = max(abs(big), abs(small))
-    return big - small >= -max(4.0 * math.ulp(scale), rel_margin * scale)
-
-
 def check_weighted_square(m_cap: int) -> BoundReport:
     """sum_{2<=n<=M} (n ln n)^2 >= M^3 (ln M)^2 / 12 for M >= 4.
 
@@ -257,8 +253,8 @@ def check_weighted_square(m_cap: int) -> BoundReport:
     halved = (0.5 * log_m) ** 2 * sq_tail
     rhs = m_cap**3 * log_m**2 / 12.0
     links_hold = (
-        _holds_weakly(full, tail)
-        and _holds_weakly(tail, halved)
+        compare_strict(tail, full) != FAIL  # tail <= full, up to the margin
+        and compare_strict(halved, tail) != FAIL
         and 3 * sq_tail >= m_cap**3  # exact-integer form of halved >= rhs
     )
     verdict = compare_strict(rhs, full) if links_hold else FAIL
@@ -322,10 +318,8 @@ def dusart_reports(check: DusartCheck) -> tuple[BoundReport, BoundReport]:
         lhs=pi_f,
         rhs=check.upper_value,
         observed=check.pi_value,
-        applicable=check.upper_applicable,
-        verdict=compare_strict(pi_f, check.upper_value)
-        if check.upper_applicable
-        else INCONCLUSIVE,
+        applicable=True,
+        verdict=compare_strict(pi_f, check.upper_value),
     )
     return lower, upper
 

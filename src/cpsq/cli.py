@@ -5,7 +5,7 @@ stdout in text (default), JSON, or CSV; diagnostics go to stderr. Exit
 codes: 0 success / all checks pass, 1 a bound check failed, 2 bad usage or
 argument values, 3 a resource refusal (sieve request too large).
 
-Sieved prime tables are cached on disk between invocations in the CPSQ1
+Sieved prime tables are cached on disk between invocations in the CPSQ2
 binary format. The cache directory is, in order of precedence, the
 CPSQ_CACHE_DIR environment variable, the --cache-dir option, then the
 per-user cache location; tiny tables are not worth the file and are
@@ -27,7 +27,7 @@ import numpy as np
 
 from .bounds import INFORMATIONAL_LABELS, analytic_max_window, full_verification
 from .errors import ResourceLimitError
-from .primes import DEFAULT_SEGMENT_ODDS, PrimeTable, load_table, save_table, sieve_primes
+from .primes import PrimeTable, load_table, save_table, sieve_primes
 from .reference import REFERENCE_LIMIT, REFERENCE_VALUES
 from .reports import FAIL
 from .serialize import FORMATS, serialize_report, write_values
@@ -52,7 +52,6 @@ class CliConfig:
     count_mode: str = "both"
     cache_dir: str | None = None
     grid: tuple[int, ...] | None = None
-    segment_size: int | None = None
 
 
 def _integer_arg(text: str) -> int:
@@ -91,12 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--cache-dir", default=None, help="directory for the sieved prime cache"
-    )
-    common.add_argument(
-        "--segment-size",
-        type=_integer_arg,
-        default=None,
-        help=f"odd candidates per sieve segment (default {DEFAULT_SEGMENT_ODDS})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -154,7 +147,6 @@ def parse_args(argv: list[str] | None = None) -> CliConfig:
         count_mode=getattr(ns, "count_mode", "both"),
         cache_dir=ns.cache_dir,
         grid=getattr(ns, "grid", None),
-        segment_size=ns.segment_size,
     )
 
 
@@ -188,8 +180,7 @@ def provision_table(needed_limit: int, config: CliConfig) -> PrimeTable:
                 return cached
         except ValueError as exc:
             print(f"warning: ignoring cache: {exc}", file=sys.stderr)
-    segment = config.segment_size or DEFAULT_SEGMENT_ODDS
-    table = sieve_primes(needed_limit, segment)
+    table = sieve_primes(needed_limit)
     if needed_limit >= CACHE_MIN_LIMIT:
         try:
             path.parent.mkdir(parents=True, exist_ok=True)

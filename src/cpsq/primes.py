@@ -20,6 +20,7 @@ import math
 import os
 import struct
 import tempfile
+import zlib
 from dataclasses import dataclass
 from math import isqrt
 from pathlib import Path
@@ -27,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ResourceLimitError, TableRangeError
-from .reports import INCONCLUSIVE, PASS, BoundReport, compare_strict
+from .reports import PASS, BoundReport, compare_strict
 
 #: odd candidates per sieve segment (the default keeps segments ~1 MiB)
 DEFAULT_SEGMENT_ODDS = 1 << 20
@@ -44,7 +45,7 @@ MAX_LIMIT = isqrt(2**63 - 1)
 #: refuse sieve requests whose estimated allocation would pass this many bytes
 MAX_SIEVE_BYTES = 4 << 30
 
-CACHE_MAGIC = b"CPSQ1"
+CACHE_MAGIC = b"CPSQ2"
 
 
 class PrimeTable:
@@ -196,7 +197,8 @@ class DusartCheck:
     """Evaluation of the two Dusart inequalities at a single N.
 
     ``passed`` is True iff every *applicable* strict inequality holds; the
-    lower bound only applies from N = 17 on, the upper for all N > 1.
+    lower bound only applies from N = 17 on, the upper for all N >= 2,
+    which is every N the check accepts.
     """
 
     n: int
@@ -204,7 +206,6 @@ class DusartCheck:
     pi_value: int
     upper_value: float
     lower_applicable: bool
-    upper_applicable: bool
     passed: bool
 
 
@@ -218,19 +219,15 @@ def check_dusart(n: int, table: PrimeTable) -> DusartCheck:
     lower = n / log_n
     upper = DUSART_UPPER_FACTOR * n / log_n
     lower_applicable = n >= DUSART_LOWER_MIN_N
-    upper_applicable = n > 1
-    passed = True
-    if lower_applicable:
-        passed = passed and compare_strict(lower, pi_n) == PASS
-    if upper_applicable:
-        passed = passed and compare_strict(pi_n, upper) == PASS
+    passed = compare_strict(pi_n, upper) == PASS and (
+        not lower_applicable or compare_strict(lower, pi_n) == PASS
+    )
     return DusartCheck(
         n=n,
         lower_value=lower,
         pi_value=pi_n,
         upper_value=upper,
         lower_applicable=lower_applicable,
-        upper_applicable=upper_applicable,
         passed=passed,
     )
 
@@ -251,19 +248,22 @@ def check_rosser(n: int, table: PrimeTable) -> BoundReport:
 
 
 # ---------------------------------------------------------------------------
-# binary cache: "CPSQ1" | limit u64le | count u64le | primes u64le...
+# binary cache: "CPSQ2" | limit u64le | count u64le | crc32 u32le | primes u64le...
 # ---------------------------------------------------------------------------
 
 def save_table(table: PrimeTable, path: str | Path) -> None:
-    """Write the table's primes to ``path`` in the CPSQ1 cache format.
+    """Write the table's primes to ``path`` in the CPSQ2 cache format.
 
+    The header carries a CRC-32 of the limit, the count and the payload.
     Each writer goes through a temporary file of its own in the same
     directory, so concurrent writers never interleave their bytes; the last
     rename wins.
     """
     path = Path(path)
     payload = table.primes.astype("<u8").tobytes()
-    header = CACHE_MAGIC + struct.pack("<QQ", table.limit, len(table))
+    fields = struct.pack("<QQ", table.limit, len(table))
+    crc = zlib.crc32(payload, zlib.crc32(fields))
+    header = CACHE_MAGIC + fields + struct.pack("<I", crc)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as out:
@@ -274,23 +274,27 @@ def save_table(table: PrimeTable, path: str | Path) -> None:
 
 
 def load_table(path: str | Path) -> PrimeTable:
-    """Read a CPSQ1 cache file back into a PrimeTable.
+    """Read a CPSQ2 cache file back into a PrimeTable.
 
-    The structural invariants of the prime list (as many primes as Dusart's
-    bounds allow for pi(limit), ascending, first prime 2, odd beyond the
-    first, within the stored limit) are re-validated; any violation raises
-    ValueError rather than returning a corrupt table.
+    The CRC is checked first; the structural invariants of the prime list
+    (as many primes as Dusart's bounds allow for pi(limit), ascending,
+    first prime 2, odd beyond the first, within the stored limit) are still
+    re-validated, since the file comes from outside the program. Any
+    violation raises ValueError rather than returning a corrupt table.
     """
-    raw = Path(path).read_bytes()
-    head = len(CACHE_MAGIC) + 16
-    if len(raw) < head or raw[: len(CACHE_MAGIC)] != CACHE_MAGIC:
-        raise ValueError(f"{path}: not a CPSQ1 prime cache")
-    limit, count = struct.unpack_from("<QQ", raw, len(CACHE_MAGIC))
+    raw = memoryview(Path(path).read_bytes())
+    start = len(CACHE_MAGIC)
+    head = start + 20
+    if len(raw) < head or raw[:start] != CACHE_MAGIC:
+        raise ValueError(f"{path}: not a CPSQ2 prime cache")
+    limit, count, crc = struct.unpack_from("<QQI", raw, start)
     if len(raw) != head + 8 * count:
         raise ValueError(
             f"{path}: truncated cache (expected {count} primes, "
             f"{len(raw) - head} payload bytes present)"
         )
+    if zlib.crc32(raw[head:], zlib.crc32(raw[start : head - 4])) != crc:
+        raise ValueError(f"{path}: cache checksum does not match its contents")
     # Dusart: N / ln N < pi(N) from N = 17 on, pi(N) < 1.2551 N / ln N
     bound = limit / math.log(limit) if limit >= 2 else 0
     low = bound if limit >= DUSART_LOWER_MIN_N else 0

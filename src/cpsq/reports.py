@@ -17,17 +17,19 @@ FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
 
 
-def compare_strict(lhs: float, rhs: float, *, rel_margin: float = 1e-12) -> str:
+def compare_strict(lhs: float, rhs: float) -> str:
     """Verdict for the strict inequality ``lhs < rhs`` in binary64.
 
-    The margin is the larger of 4 ulps of the bigger operand and
-    ``rel_margin`` relative to it; differences inside the margin are
-    INCONCLUSIVE so that rounding never fabricates a strict inequality.
+    The margin is the larger of 4 ulps of the bigger operand and 1e-12
+    relative to it; differences inside the margin are INCONCLUSIVE so that
+    rounding never fabricates a strict inequality. A non-strict link
+    ``lhs <= rhs`` holds up to that margin exactly when the verdict is not
+    FAIL.
     """
     lhs = float(lhs)
     rhs = float(rhs)
     scale = max(abs(lhs), abs(rhs))
-    margin = max(4.0 * math.ulp(scale), rel_margin * scale)
+    margin = max(4.0 * math.ulp(scale), 1e-12 * scale)
     if rhs - lhs > margin:
         return PASS
     if lhs - rhs > margin:

@@ -133,10 +133,9 @@ def _text_line(record: Record) -> str:
             f"value={record.value}"
         )
     if isinstance(record, WindowCap):
-        alpha = "" if record.alpha is None else f" alpha={record.alpha:.6g}"
         return (
             f"x={record.x} analytic_m={record.analytic_m} "
-            f"exact_m={record.exact_m}{alpha}"
+            f"exact_m={record.exact_m}"
         )
     if isinstance(record, DusartCheck):
         return (

@@ -244,10 +244,12 @@ def _distinct_by_class(counts: list[int], table: PrimeTable) -> int:
     """The number of distinct window values, as the sum over the 24 residue
     classes of each class's own distinct count.
 
-    Refuses past primes.MAX_SIEVE_BYTES on the memory really held: 9 bytes
-    a window of the _workers() largest classes, the most that are ever
-    sorted at once, plus 32 bytes a head value while the heads are split.
-    An exception in any thread is raised here once every thread has ended.
+    w threads hold at most 9 bytes a window of the w largest classes, the
+    most that are ever sorted at once, plus 32 bytes a head value while the
+    heads are split. The most threads, up to _workers(), whose estimate
+    fits primes.MAX_SIEVE_BYTES run; when one thread does not fit, this
+    refuses before anything is allocated. An exception in any thread is
+    raised here once every thread has ended.
     """
     sp = table.square_prefix
     c = np.array(counts, dtype=np.int64)
@@ -263,10 +265,10 @@ def _distinct_by_class(counts: list[int], table: PrimeTable) -> int:
     sizes = np.bincount(np.arange(1, c.size + 1) % _CLASSES, tails, _CLASSES)
     sizes = sizes.astype(np.int64) + np.diff(cuts)
     long = counts[: np.count_nonzero(tails)]
-    workers = _workers()
-    _refuse_past_ceiling(
-        int(c.sum()), 9 * int(np.sort(sizes)[-workers:].sum()) + 32 * heads.size
-    )
+    # need[w - 1]: the estimate on w threads, growing with w
+    need = 9 * np.cumsum(np.sort(sizes)[::-1][: _workers()]) + 32 * heads.size
+    workers = max(int(np.count_nonzero(need <= primes.MAX_SIEVE_BYTES)), 1)
+    _refuse_past_ceiling(int(c.sum()), int(need[0]))
 
     distinct = [0] * _CLASSES
     errors: list[BaseException] = []
@@ -310,9 +312,9 @@ def count_sums(x: int, table: PrimeTable) -> CountReport:
     Multiplicity is the sum of the per-length counts; distinct values are
     deduplicated by sorting the window values, 8 bytes each, so nothing
     per-object survives the pass. Past SPLIT_WINDOWS windows the sort runs
-    per residue class mod 24 on a few threads. Raises ResourceLimitError
-    when the values and masks held at once would pass
-    primes.MAX_SIEVE_BYTES.
+    per residue class mod 24 on as many threads as fit. Raises
+    ResourceLimitError when the values and masks held at once, on one
+    thread if split, would pass primes.MAX_SIEVE_BYTES.
     """
     x = _covered(x, table)
     counts = _walk(x, table)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cpsq.bounds
 from cpsq import (
     ApplicabilityError,
     DomainError,
@@ -71,6 +72,23 @@ def test_window_cap_grows_its_own_table_when_needed():
     assert cap.analytic_m >= cap.exact_m  # the analytic cap never cuts short
     assert cap.exact_m == 411
     assert cap.x == 10**9
+
+
+def test_window_cap_takes_one_sieve_that_holds_m_primes(monkeypatch):
+    real = cpsq.bounds.sieve_primes
+    ran = []
+
+    def sieve(limit):
+        ran.append(limit)
+        return real(limit)
+
+    monkeypatch.setattr(cpsq.bounds, "sieve_primes", sieve)
+    cap = analytic_max_window(10**19)
+    assert (cap.analytic_m, cap.exact_m) == (826_345, 524_136)
+    # the least L >= 17 with L / ln L >= M(x); Dusart: pi(L) > L / ln L
+    assert ran == [13_571_461]
+    (limit,) = ran
+    assert (limit - 1) / math.log(limit - 1) < cap.analytic_m <= limit / math.log(limit)
 
 
 @given(st.integers(min_value=2, max_value=10**7))

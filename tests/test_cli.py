@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import struct
 from math import isqrt
 
 import numpy as np
@@ -138,7 +139,7 @@ def test_maxlen_json(capsys):
     code, out, _ = run_cli(capsys, "maxlen", "5000", "--format", "json")
     assert code == 0
     (cap,) = json.loads(out)
-    assert cap == {"x": 5000, "analytic_m": 19, "exact_m": 12, "alpha": None}
+    assert cap == {"x": 5000, "analytic_m": 19, "exact_m": 12}
 
 
 def test_exponent_shorthands(capsys):
@@ -225,6 +226,22 @@ def test_resource_refusal_exits_3(capsys):
     assert "error:" in err
 
 
+def test_maxlen_of_a_huge_x_is_refused_before_any_sieve(capsys, monkeypatch):
+    real = cpsq.bounds.sieve_primes
+    ran = []  # the limit of each sieve that returned a table
+
+    def sieve(limit):
+        table = real(limit)
+        ran.append(limit)
+        return table
+
+    monkeypatch.setattr(cpsq.bounds, "sieve_primes", sieve)
+    code, out, err = run_cli(capsys, "maxlen", "1e30")
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert ran == []
+
+
 def test_cache_write_and_reuse(capsys, tmp_path, monkeypatch):
     cache_dir = tmp_path / "cache"
     code, _, _ = run_cli(capsys, "count", "10^10")
@@ -268,6 +285,37 @@ def test_cache_with_too_few_primes_is_rebuilt(capsys, tmp_path):
     assert len(load_table(cache_file)) == 78498
 
 
+def test_cache_with_a_changed_prime_is_not_used(capsys, tmp_path):
+    # p_4 = 7 rewritten as 9, header untouched: a table that passes every
+    # structural check, and would drop 74, 83 and 87 from list 100
+    code, _, _ = run_cli(capsys, "count", "10^10")
+    assert code == 0
+    cache_file = tmp_path / "cache" / "primes.cpsq"
+    raw = bytearray(cache_file.read_bytes())
+    head = 5 + 16 + 4
+    assert raw[head + 24 : head + 32] == (7).to_bytes(8, "little")
+    raw[head + 24 : head + 32] = (9).to_bytes(8, "little")
+    cache_file.write_bytes(raw)
+    code, out, err = run_cli(capsys, "list", "100")
+    assert code == 0
+    assert out == "4\n9\n13\n25\n34\n38\n49\n74\n83\n87\n"
+    assert err.startswith("warning: ignoring cache") and "checksum" in err
+
+
+def test_cache_in_the_earlier_format_is_resieved(capsys, tmp_path):
+    cache_file = tmp_path / "cache" / "primes.cpsq"
+    cache_file.parent.mkdir()
+    table = sieve_primes(10**6)
+    header = b"CPSQ1" + struct.pack("<QQ", table.limit, len(table))
+    cache_file.write_bytes(header + table.primes.astype("<u8").tobytes())
+    code, out, err = run_cli(capsys, "count", "10^12", "--count-mode", "distinct")
+    assert code == 0
+    assert out == "x=1000000000000 distinct=8867054\n"
+    assert "warning: ignoring cache" in err and "not a CPSQ2" in err
+    assert cache_file.read_bytes()[:5] == b"CPSQ2"
+    assert len(load_table(cache_file)) == 78498
+
+
 def test_small_tables_are_not_cached(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "count", "5000")
     assert code == 0
@@ -288,12 +336,6 @@ def test_env_var_beats_cache_dir_flag(capsys, tmp_path):
     assert code == 0
     assert not flagged.exists()
     assert (tmp_path / "cache" / "primes.cpsq").is_file()
-
-
-def test_segment_size_option_changes_nothing_visible(capsys):
-    code, out, _ = run_cli(capsys, "list", "100", "--segment-size", "4")
-    assert code == 0
-    assert out.split() == ["4", "9", "13", "25", "34", "38", "49", "74", "83", "87"]
 
 
 def test_dedup_refusal_exits_3_and_multiplicity_still_answers(capsys, monkeypatch):
@@ -323,3 +365,42 @@ def test_multiplicity_mode_matches_count_sums(capsys, table_big, x):
     code, out, _ = run_cli(capsys, "count", str(x), "--count-mode", "multiplicity")
     assert code == 0
     assert out == f"x={x} multiplicity={count_sums(x, table_big).multiplicity_count}\n"
+
+
+# every magnitude here is at most 10^6 or at least 10^30: small ones run at
+# once, huge ones must be refused by an estimate before any allocation
+_NUMBER = st.one_of(
+    st.integers(min_value=-(10**6), max_value=10**6).map(str),
+    st.integers(min_value=30, max_value=60).map(lambda k: f"1e{k}"),
+    st.integers(min_value=30, max_value=60).map(lambda k: f"10^{k}"),
+    st.integers(min_value=0, max_value=6).map(lambda k: f"1e{k}"),
+    st.integers(min_value=0, max_value=6).map(lambda k: f"10^{k}"),
+)
+_TOKEN = st.one_of(
+    _NUMBER,
+    st.text(alphabet="abcxyz-,.=_", max_size=5),
+    st.sampled_from(
+        ["--", "-", "--grid", ",", "--format", "xml", "JSON", "", "--segment-size",
+         "--count-mode", "distinct", "--cache-dir", "--help", "1.5", "e3", "10^"]
+    ),
+)
+_COMMAND = st.sampled_from(["count", "list", "find", "maxlen", "verify", "table-check"])
+
+
+@given(
+    argv=st.one_of(
+        st.tuples(_COMMAND, _NUMBER).map(list),
+        st.tuples(_COMMAND, st.lists(_TOKEN, max_size=4)).map(lambda t: [t[0], *t[1]]),
+        st.lists(_TOKEN, max_size=3),
+    )
+)
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_every_argv_gets_one_exit_code_of_the_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code in (2, 3):
+        errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+        assert len(errors) == 1, err.getvalue()

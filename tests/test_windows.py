@@ -364,15 +364,79 @@ def test_split_refuses_on_the_classes_held_at_once(table_small, monkeypatch):
         sizes[rep.value % 24] += 1
         heads += rep.start_index <= 2
     windows = sum(sizes)
+    distinct = len(oracle_distinct_values(10**6))
+    # 9 bytes a window of the largest classes, one a thread, and 32 a head
+    estimate = [9 * sum(sorted(sizes)[-w:]) + 32 * heads for w in (1, 2, 3)]
+    assert estimate[-1] < 9 * windows
+    real_thread = threading.Thread
+    started = []
+
+    def counting_thread(*args, **kwargs):
+        started.append(1)
+        return real_thread(*args, **kwargs)
+
     monkeypatch.setattr(cpsq.windows, "SPLIT_WINDOWS", 1)
-    for workers in (1, 2, 3):
+    monkeypatch.setattr(cpsq.windows.threading, "Thread", counting_thread)
+    for workers in (2, 3):
         monkeypatch.setattr(cpsq.windows, "_workers", lambda: workers)
-        # 9 bytes a window of the largest classes, one a thread, and 32 a head
-        estimate = 9 * sum(sorted(sizes)[-workers:]) + 32 * heads
-        assert estimate < 9 * windows
-        monkeypatch.setattr(cpsq.primes, "MAX_SIEVE_BYTES", estimate - 1)
-        refusal = f"{windows} window values .* {estimate} bytes"
+        # one byte short for w threads: the call runs on w - 1 of them
+        for ceiling, threads in (
+            (estimate[workers - 1], workers),
+            (estimate[workers - 1] - 1, workers - 1),
+        ):
+            monkeypatch.setattr(cpsq.primes, "MAX_SIEVE_BYTES", ceiling)
+            started.clear()
+            report = count_sums(10**6, table_small)
+            assert (report.distinct_count, report.multiplicity_count) == (distinct, windows)
+            assert len(started) == threads - 1  # the caller is the first thread
+        # only when one thread does not fit is the count refused
+        monkeypatch.setattr(cpsq.primes, "MAX_SIEVE_BYTES", estimate[0] - 1)
+        refusal = f"{windows} window values .* {estimate[0]} bytes"
         with pytest.raises(ResourceLimitError, match=refusal):
             count_sums(10**6, table_small)
-        monkeypatch.setattr(cpsq.primes, "MAX_SIEVE_BYTES", estimate)
-        assert count_sums(10**6, table_small).multiplicity_count == windows
+
+
+# ---------------------------------------------------------------------------
+# the dedup past the first repeated value: every window value below
+# 14,720,439 is distinct, so only past it can a dedup that splits equal
+# values apart miss the distinct count
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def oracle_to_1e9():
+    """Every window value <= 10^9 from the naive oracle, sorted, and the
+    distinct ones (126,689 windows, 6 values reached twice)."""
+    values = np.array(sorted(v for _, _, v in oracle_windows(10**9)), dtype=np.uint64)
+    return values, np.unique(values)
+
+
+def assert_dedup_matches_oracle(x, table, oracle, workers):
+    values, distinct = oracle
+    k = int(np.searchsorted(distinct, x, side="right"))
+    windows = int(np.searchsorted(values, x, side="right"))
+    assert windows < cpsq.windows.SPLIT_WINDOWS  # one piece unless patched
+    report = count_sums(x, table)
+    assert (report.distinct_count, report.multiplicity_count) == (k, windows)
+    assert np.array_equal(values_up_to(x, table), distinct[:k])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cpsq.windows, "SPLIT_WINDOWS", 1)
+        mp.setattr(cpsq.windows, "_workers", lambda: workers)
+        report = count_sums(x, table)
+    assert (report.distinct_count, report.multiplicity_count) == (k, windows)
+    return windows - k
+
+
+def test_dedup_at_every_repeated_value(table_big, oracle_to_1e9):
+    values = oracle_to_1e9[0]
+    repeated = values[1:][values[1:] == values[:-1]].tolist()
+    assert repeated[0] == 14_720_439 and len(repeated) == 6
+    for seen, v in enumerate(repeated):
+        for workers in (1, 2, 3):
+            assert assert_dedup_matches_oracle(v - 1, table_big, oracle_to_1e9, workers) == seen
+            assert assert_dedup_matches_oracle(v, table_big, oracle_to_1e9, workers) == seen + 1
+
+
+@given(st.integers(min_value=15 * 10**6, max_value=10**9), st.sampled_from([1, 2, 3]))
+@settings(max_examples=40)
+def test_dedup_past_the_first_repeat_matches_oracle(table_big, oracle_to_1e9, x, workers):
+    assert assert_dedup_matches_oracle(x, table_big, oracle_to_1e9, workers) >= 1
