@@ -45,8 +45,8 @@ for x in (100, 5000, 10**6, 10**9):
 
 print("\nper-length counting chain at x = 10^5 "
       "(count <= pi cap < Dusart majorant):")
-reports = [check_length_count_bound(10**5, m, table) for m in (1, 2, 3, 5, 10)]
-print(serialize_report(reports, "text"))
+chain = check_length_count_bound(10**5, table)  # one report per length
+print(serialize_report([chain[m - 1] for m in (1, 2, 3, 5, 10)], "text"))
 
 print("\nthe three summation lemmas at M = 10^4:")
 lemmas = [

@@ -35,7 +35,6 @@ from .errors import (
     TableRangeError,
 )
 from .primes import (
-    DEFAULT_SEGMENT_ODDS,
     DUSART_LOWER_MIN_N,
     DUSART_UPPER_FACTOR,
     DusartCheck,
@@ -70,7 +69,6 @@ __all__ = [
     "BoundReport",
     "CAP_COEFF",
     "CountReport",
-    "DEFAULT_SEGMENT_ODDS",
     "DUSART_LOWER_MIN_N",
     "DUSART_UPPER_FACTOR",
     "DomainError",

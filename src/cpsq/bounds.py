@@ -14,8 +14,9 @@ Supporting checks, each exposed as an operation returning a BoundReport:
 
 * per-length counting cap: the number of length-m windows below x is at
   most pi(sqrt(x/m)), which Dusart majorizes by 1.2551 sqrt(x/m) over
-  (1/2) ln(x/m), i.e. 2.5102 sqrt(x/m)/ln(x/m); the enumerated count and
-  the pi cap are both checked against that majorant. Do not "simplify"
+  (1/2) ln(x/m), i.e. 2.5102 sqrt(x/m)/ln(x/m); the enumerated count, the
+  walk's and never capped, is checked against the pi cap, and both
+  against that majorant. Do not "simplify"
   the denominator to ln x: that variant is smaller for every m >= 2 and
   the enumerated count genuinely crosses it (first at x = 10^5, m = 3,
   where 40 windows stand against 39.81).
@@ -135,14 +136,15 @@ def analytic_max_window(x: int, table: PrimeTable | None = None) -> WindowCap:
     return WindowCap(x=x, analytic_m=analytic, exact_m=exact)
 
 
-def check_length_count_bound(x: int, m: int, table: PrimeTable) -> BoundReport:
-    """Cap the count of length-m windows below x along the counting chain.
+def check_length_count_bound(x: int, table: PrimeTable) -> list[BoundReport]:
+    """Cap the count of length-m windows below x along the counting chain,
+    one report for every length m the walk finds at x.
 
-    Verified links, for x > m: the enumerated count is at most
-    pi(floor(sqrt(x/m))) in exact integers, and both the count and the pi
-    cap stay strictly below the Dusart majorant 2.5102 sqrt(x/m)/ln(x/m).
-    The report carries the pi cap as lhs, the majorant as rhs, and the
-    enumerated count in ``observed``.
+    Verified links: the walk's count c_m, which nothing caps, is at most
+    pi(floor(sqrt(x/m))) in exact integers, and both c_m and the pi cap
+    stay strictly below the Dusart majorant 2.5102 sqrt(x/m)/ln(x/m). Each
+    report carries the pi cap as lhs, the majorant as rhs, and c_m in
+    ``observed``. Every such m has x >= S_m >= 4m > m, so ln(x/m) > 0.
 
     A seemingly harmless weakening replaces ln(x/m) by ln x in the
     denominator. The resulting quantity is not a majorant of the count
@@ -150,33 +152,30 @@ def check_length_count_bound(x: int, m: int, table: PrimeTable) -> BoundReport:
     is 39.81), so nothing here evaluates it.
     """
     x = int(x)
-    m = int(m)
-    if m < 1:
-        raise ValueError(f"window length must be >= 1, got {m}")
-    if x <= m:
-        raise ApplicabilityError(
-            f"per-length bound needs x > m, got x={x}, m={m}"
+    reports: list[BoundReport] = []
+    for m, observed in enumerate(count_windows(x, table), 1):
+        pi_cap = prime_count(isqrt(x // m), table)
+        ratio = x / m
+        majorant = PER_LENGTH_COEFF * math.sqrt(ratio) / log(ratio)
+        if observed > pi_cap:
+            verdict = FAIL
+        else:
+            verdict = worst_verdict(
+                compare_strict(observed, majorant),
+                compare_strict(pi_cap, majorant),
+            )
+        reports.append(
+            BoundReport(
+                label=f"length-count-bound[m={m}]",
+                x_or_m=x,
+                lhs=float(pi_cap),
+                rhs=majorant,
+                observed=observed,
+                applicable=True,
+                verdict=verdict,
+            )
         )
-    observed = count_windows(x, m, table)
-    pi_cap = prime_count(isqrt(x // m), table)
-    ratio = x / m
-    majorant = PER_LENGTH_COEFF * math.sqrt(ratio) / log(ratio)
-    if observed > pi_cap:
-        verdict = FAIL
-    else:
-        verdict = worst_verdict(
-            compare_strict(observed, majorant),
-            compare_strict(pi_cap, majorant),
-        )
-    return BoundReport(
-        label=f"length-count-bound[m={m}]",
-        x_or_m=x,
-        lhs=float(pi_cap),
-        rhs=majorant,
-        observed=observed,
-        applicable=True,
-        verdict=verdict,
-    )
+    return reports
 
 
 def check_window_cap_substitution(
@@ -393,24 +392,22 @@ def full_verification(grid: list[int] | None = None) -> list[BoundReport]:
 
     Used by the CLI ``verify`` command. The grid defaults to 289 and the
     powers of ten from 1e3 to 1e9; per-length caps are checked for every
-    length up to the exact cap at each grid point, and the named lemmas run
-    at representative evaluation points (their exhaustive sweeps live in
-    the test suite, where the runtime budget is bigger).
+    length the walk finds at each grid point, up to the exact cap, and the
+    named lemmas run at representative evaluation points (their exhaustive
+    sweeps live in the test suite, where the runtime budget is bigger).
     """
     xs = sorted(int(x) for x in (grid if grid else DEFAULT_VERIFY_GRID))
-    table = sieve_primes(max(isqrt(xs[-1]), 64))
+    # one table for the grid and the lemma points: 1.3e6 covers pi to 1e6
+    # and p_n to n = 1e5
+    table = sieve_primes(max(isqrt(xs[-1]), 1_300_000))
     reports = verify_count_bounds(xs, table)
     for x in xs:
-        cap = analytic_max_window(x, table)
-        for m in range(1, cap.exact_m + 1):
-            reports.append(check_length_count_bound(x, m, table))
+        reports.extend(check_length_count_bound(x, table))
         reports.append(check_window_cap_substitution(x, table))
-    aux_limit = 1_300_000  # covers pi to 1e6 and p_n to n = 1e5
-    aux = sieve_primes(aux_limit)
     for n_val in _DUSART_POINTS:
-        reports.extend(dusart_reports(check_dusart(n_val, aux)))
+        reports.extend(dusart_reports(check_dusart(n_val, table)))
     for n_val in _ROSSER_POINTS:
-        reports.append(check_rosser(n_val, aux))
+        reports.append(check_rosser(n_val, table))
     for alpha in _PARTIAL_SUM_ALPHAS:
         for m_cap in _PARTIAL_SUM_POINTS:
             reports.append(check_partial_sum(m_cap, alpha))

@@ -6,10 +6,12 @@ codes: 0 success / all checks pass, 1 a bound check failed, 2 bad usage or
 argument values, 3 a resource refusal (sieve request too large).
 
 Sieved prime tables are cached on disk between invocations in the CPSQ2
-binary format. The cache directory is, in order of precedence, the
-CPSQ_CACHE_DIR environment variable, the --cache-dir option, then the
-per-user cache location; tiny tables are not worth the file and are
-recomputed instead.
+binary format. The cache directory is the CPSQ_CACHE_DIR environment
+variable if set, else the per-user cache location; tiny tables are not
+worth the file and are recomputed instead.
+
+A reader that closes stdout early (``cpsq list 1e10 | head``) ends the
+output quietly: the command keeps the exit code it had already decided.
 """
 
 from __future__ import annotations
@@ -20,8 +22,10 @@ import os
 import re
 import sys
 from dataclasses import dataclass
+from functools import partial
 from math import isqrt
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -50,7 +54,6 @@ class CliConfig:
     x_or_target: int | None = None
     format: str = "text"
     count_mode: str = "both"
-    cache_dir: str | None = None
     grid: tuple[int, ...] | None = None
 
 
@@ -87,9 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--format", choices=FORMATS, default="text", help="output format"
-    )
-    common.add_argument(
-        "--cache-dir", default=None, help="directory for the sieved prime cache"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -145,7 +145,6 @@ def parse_args(argv: list[str] | None = None) -> CliConfig:
         x_or_target=ns.target if ns.command == "find" else getattr(ns, "x", None),
         format=ns.format,
         count_mode=getattr(ns, "count_mode", "both"),
-        cache_dir=ns.cache_dir,
         grid=getattr(ns, "grid", None),
     )
 
@@ -154,12 +153,10 @@ def parse_args(argv: list[str] | None = None) -> CliConfig:
 # prime-table provisioning with the on-disk cache
 # ---------------------------------------------------------------------------
 
-def _cache_dir(config: CliConfig) -> Path:
+def _cache_home() -> Path:
     env = os.environ.get(CACHE_ENV)
     if env:
         return Path(env)
-    if config.cache_dir:
-        return Path(config.cache_dir)
     xdg = os.environ.get("XDG_CACHE_HOME")
     base = Path(xdg) if xdg else Path.home() / ".cache"
     return base / "cpsq"
@@ -170,9 +167,11 @@ def provision_table(needed_limit: int, config: CliConfig) -> PrimeTable:
 
     A cached table whose limit is at least the needed one is reused as-is;
     anything smaller (or unreadable) is replaced by a fresh sieve, which is
-    written back when big enough to be worth keeping.
+    written back when big enough to be worth keeping. The cache directory
+    comes from the environment alone; ``config`` names the invocation the
+    table is for and changes nothing here.
     """
-    path = _cache_dir(config) / CACHE_FILENAME
+    path = _cache_home() / CACHE_FILENAME
     if path.is_file():
         try:
             cached = load_table(path)
@@ -194,53 +193,49 @@ def provision_table(needed_limit: int, config: CliConfig) -> PrimeTable:
 # command handlers
 # ---------------------------------------------------------------------------
 
-def _cmd_count(config: CliConfig) -> int:
+#: what a handler decided: the exit code, and the call that writes its output
+_Outcome = tuple[int, Callable[[], object]]
+
+
+def _cmd_count(config: CliConfig) -> _Outcome:
     x = config.x_or_target
     table = provision_table(isqrt(x), config)
     if config.format == "text" and config.count_mode == "multiplicity":
         # the number of windows needs the walk only, no dedup
-        print(f"x={x} multiplicity={multiplicity_count(x, table)}")
-        return 0
+        return 0, partial(print, f"x={x} multiplicity={multiplicity_count(x, table)}")
     report = count_sums(x, table)
-    if config.format == "text":
-        if config.count_mode == "distinct":
-            print(f"x={report.x} distinct={report.distinct_count}")
-        else:
-            print(serialize_report([report], "text"))
+    if config.format == "text" and config.count_mode == "distinct":
+        text = f"x={report.x} distinct={report.distinct_count}"
     else:
-        print(serialize_report([report], config.format))
-    return 0
+        text = serialize_report([report], config.format)
+    return 0, partial(print, text)
 
 
-def _cmd_list(config: CliConfig) -> int:
+def _cmd_list(config: CliConfig) -> _Outcome:
     x = config.x_or_target
     table = provision_table(isqrt(x), config)
-    write_values(values_up_to(x, table), config.format, sys.stdout)
-    return 0
+    return 0, partial(write_values, values_up_to(x, table), config.format, sys.stdout)
 
 
-def _cmd_find(config: CliConfig) -> int:
+def _cmd_find(config: CliConfig) -> _Outcome:
     target = config.x_or_target
     table = provision_table(isqrt(target), config)
     reps = find_representations(target, table)
-    if config.format == "text":
-        if not reps:
-            print("no representation")
-        for rep in reps:
-            run = table.primes[rep.start_index - 1 : rep.start_index - 1 + rep.length]
-            print(f"{target} = " + " + ".join(f"{int(p)}^2" for p in run))
-    else:
-        print(serialize_report(reps, config.format))
-    return 0
+    if config.format != "text":
+        return 0, partial(print, serialize_report(reps, config.format))
+    lines = []
+    for rep in reps:
+        run = table.primes[rep.start_index - 1 : rep.start_index - 1 + rep.length]
+        lines.append(f"{target} = " + " + ".join(f"{int(p)}^2" for p in run))
+    return 0, partial(print, "\n".join(lines) or "no representation")
 
 
-def _cmd_maxlen(config: CliConfig) -> int:
+def _cmd_maxlen(config: CliConfig) -> _Outcome:
     cap = analytic_max_window(config.x_or_target)
-    print(serialize_report([cap], config.format))
-    return 0
+    return 0, partial(print, serialize_report([cap], config.format))
 
 
-def _cmd_verify(config: CliConfig) -> int:
+def _cmd_verify(config: CliConfig) -> _Outcome:
     grid = list(config.grid) if config.grid else None
     reports = full_verification(grid)
     failed = [
@@ -248,47 +243,44 @@ def _cmd_verify(config: CliConfig) -> int:
         for r in reports
         if r.applicable and r.verdict == FAIL and r.label not in INFORMATIONAL_LABELS
     ]
-    print(serialize_report(reports, config.format))
+    text = serialize_report(reports, config.format)
     if config.format == "text":
-        print(
-            f"{len(reports)} checks, {len(failed)} failures"
+        text += (
+            f"\n{len(reports)} checks, {len(failed)} failures"
             + ("" if failed else " (all pass)")
         )
-    return 1 if failed else 0
+    return (1 if failed else 0), partial(print, text)
 
 
-def _cmd_table_check(config: CliConfig) -> int:
+def _cmd_table_check(config: CliConfig) -> _Outcome:
     table = provision_table(isqrt(REFERENCE_LIMIT), config)
     computed = values_up_to(REFERENCE_LIMIT, table)
     expected = REFERENCE_VALUES
     passed = bool(np.array_equal(computed, expected))
     if config.format == "json":
-        print(
-            json.dumps(
-                {
-                    "passed": passed,
-                    "expected_count": len(expected),
-                    "computed_count": len(computed),
-                }
-            )
+        text = json.dumps(
+            {
+                "passed": passed,
+                "expected_count": len(expected),
+                "computed_count": len(computed),
+            }
         )
     elif config.format == "csv":
-        print("passed,expected_count,computed_count")
-        print(f"{str(passed).lower()},{len(expected)},{len(computed)}")
+        text = "passed,expected_count,computed_count\n"
+        text += f"{str(passed).lower()},{len(expected)},{len(computed)}"
+    elif passed:
+        text = f"table-check: PASS ({len(expected)} values match)"
     else:
-        if passed:
-            print(f"table-check: PASS ({len(expected)} values match)")
-        else:
-            diffs = [
-                (i, e, c)
-                for i, (e, c) in enumerate(zip(expected, computed.tolist()))
-                if e != c
-            ]
-            print(
-                f"table-check: FAIL (expected {len(expected)} values, "
-                f"computed {len(computed)}; first differences: {diffs[:5]})"
-            )
-    return 0 if passed else 1
+        diffs = [
+            (i, e, c)
+            for i, (e, c) in enumerate(zip(expected, computed.tolist()))
+            if e != c
+        ]
+        text = (
+            f"table-check: FAIL (expected {len(expected)} values, "
+            f"computed {len(computed)}; first differences: {diffs[:5]})"
+        )
+    return (0 if passed else 1), partial(print, text)
 
 
 _HANDLERS = {
@@ -307,13 +299,21 @@ def run(config: CliConfig) -> int:
         x = config.x_or_target
         if x is not None and x < 1:
             raise ValueError(f"{config.command} needs a positive integer, got {x}")
-        return _HANDLERS[config.command](config)
+        code, write = _HANDLERS[config.command](config)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    try:
+        write()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: what is left of the output, and the
+        # flush at exit, go to the null device, and the exit code stands
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -5,7 +5,7 @@ beyond the output is O(sqrt(limit) + segment). Alongside the primes, every
 table carries the prefix sums S_k = p_1^2 + ... + p_k^2 (1-based, S_0 = 0)
 as uint64 values mod 2^64. The windowed enumeration downstream only takes
 differences of these sums, and a difference mod 2^64 is exact whenever the
-true window value is below 2^64; each search in ``windows`` states why its
+true window value is below 2^64; the walk in ``windows`` states why its
 probes stay below that.
 
 Two classical explicit bounds are wrapped as checks here:
@@ -30,8 +30,8 @@ import numpy as np
 from .errors import ResourceLimitError, TableRangeError
 from .reports import PASS, BoundReport, compare_strict
 
-#: odd candidates per sieve segment (the default keeps segments ~1 MiB)
-DEFAULT_SEGMENT_ODDS = 1 << 20
+#: odd candidates per sieve segment, which keeps a segment's mask ~1 MiB
+ODDS_PER_SEGMENT = 1 << 20
 
 #: pi(N) < DUSART_UPPER_FACTOR * N / ln N for all N > 1
 DUSART_UPPER_FACTOR = 1.2551
@@ -94,61 +94,29 @@ def _check_limit(limit: int) -> int:
     return limit
 
 
-def _dense_sieve(limit: int) -> np.ndarray:
-    """Plain boolean sieve used for the base primes up to sqrt(limit)."""
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    is_prime = np.ones(limit + 1, dtype=bool)
-    is_prime[:2] = False
-    for p in range(2, isqrt(limit) + 1):
-        if is_prime[p]:
-            is_prime[p * p :: p] = False
-    return np.flatnonzero(is_prime).astype(np.int64)
-
-
-def _estimated_output_bytes(limit: int, segment_odds: int) -> int:
+def _estimated_output_bytes(limit: int) -> int:
     if limit < 17:
         count = 8
     else:
         # pi(x) < 1.2551 x / ln x for x > 1, so this over-estimates.
         count = int(DUSART_UPPER_FACTOR * limit / math.log(limit)) + 16
-    segments = limit // (2 * segment_odds) + 1
+    segments = limit // (2 * ODDS_PER_SEGMENT) + 1
     # 8 B a prime each for the chunks, the concatenated primes and
     # square_prefix, which all live at once; one segment's mask; the base
-    # sieve; an array object per chunk; a few fixed-size objects
-    return 24 * count + segment_odds + 9 * isqrt(limit) + 320 * segments + 4096
+    # primes; an array object per chunk; a few fixed-size objects
+    return 24 * count + ODDS_PER_SEGMENT + 9 * isqrt(limit) + 320 * segments + 4096
 
 
-def sieve_primes(limit: int, segment_odds: int = DEFAULT_SEGMENT_ODDS) -> PrimeTable:
-    """Sieve all primes ``p <= limit`` into a PrimeTable.
-
-    ``segment_odds`` is the number of odd candidates handled per segment;
-    shrinking it trades a little speed for a smaller working set. Requests
-    whose estimated allocation would exceed MAX_SIEVE_BYTES, or whose limit
-    is above MAX_LIMIT, raise ResourceLimitError before anything is
-    allocated.
-    """
-    limit = int(limit)
-    if limit < 0:
-        raise ValueError(f"limit must be nonnegative, got {limit}")
-    if segment_odds < 1:
-        raise ValueError(f"segment_odds must be positive, got {segment_odds}")
-    est = _estimated_output_bytes(limit, segment_odds)
-    if est > MAX_SIEVE_BYTES:
-        raise ResourceLimitError(
-            f"sieving to limit={limit} needs an estimated {est} bytes, "
-            f"above the {MAX_SIEVE_BYTES} byte ceiling"
-        )
-    _check_limit(limit)
+def _odd_sieve(limit: int) -> np.ndarray:
+    """The primes <= limit, ascending, as int64: 2, then the odd primes one
+    segment of ODDS_PER_SEGMENT odd candidates at a time, crossed off by the
+    odd primes <= sqrt(limit), which this same routine sieves first."""
     if limit < 2:
-        return PrimeTable(limit, np.empty(0, dtype=np.int64))
-
-    base = _dense_sieve(isqrt(limit))
-    odd_base = [int(p) for p in base if p >= 3]
+        return np.empty(0, dtype=np.int64)
+    odd_base = _odd_sieve(isqrt(limit))[1:].tolist()
     chunks = [np.array([2], dtype=np.int64)]
-    span = 2 * segment_odds
-    low = 3
-    while low <= limit:
+    span = 2 * ODDS_PER_SEGMENT
+    for low in range(3, limit + 1, span):
         high = min(low + span, limit + 1)  # exclusive
         mask = np.ones((high - low + 1) // 2, dtype=bool)
         for p in odd_base:
@@ -157,11 +125,29 @@ def sieve_primes(limit: int, segment_odds: int = DEFAULT_SEGMENT_ODDS) -> PrimeT
             start = max(p * p, ((low + p - 1) // p) * p)
             if start % 2 == 0:
                 start += p
-            if start < high:
-                mask[(start - low) // 2 :: p] = False
+            mask[(start - low) // 2 :: p] = False
         chunks.append(low + 2 * np.flatnonzero(mask))
-        low += span
-    return PrimeTable(limit, np.concatenate(chunks))
+    return np.concatenate(chunks)
+
+
+def sieve_primes(limit: int) -> PrimeTable:
+    """Sieve all primes ``p <= limit`` into a PrimeTable.
+
+    An odd-only segmented sieve. Requests whose estimated allocation would
+    exceed MAX_SIEVE_BYTES, or whose limit is above MAX_LIMIT, raise
+    ResourceLimitError before anything is allocated.
+    """
+    limit = int(limit)
+    if limit < 0:
+        raise ValueError(f"limit must be nonnegative, got {limit}")
+    est = _estimated_output_bytes(limit)
+    if est > MAX_SIEVE_BYTES:
+        raise ResourceLimitError(
+            f"sieving to limit={limit} needs an estimated {est} bytes, "
+            f"above the {MAX_SIEVE_BYTES} byte ceiling"
+        )
+    _check_limit(limit)
+    return PrimeTable(limit, _odd_sieve(limit))
 
 
 def prime_count(n: int, table: PrimeTable) -> int:

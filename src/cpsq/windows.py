@@ -8,9 +8,9 @@ prefix n = 1..c_m, and the minimal value over n is S_m itself, which is
 strictly increasing in m. Those two monotonicities drive everything here:
 
 * the walk finds c_m for m = 1, 2, ... until c_m = 0; since c_m never
-  exceeds c_{m-1}, each c_m is searched among starts 1..c_{m-1};
-* a single per-length count is one search of its own, capped at
-  pi(sqrt(x / m));
+  exceeds c_{m-1}, each c_m is searched among starts 1..c_{m-1}. It is
+  the one source of every c_m, so nothing here caps c_m by
+  pi(sqrt(x / m)) and bounds can check that cap against it;
 * counting never materializes the representations: the window values, one
   uint64 each, are sorted and adjacent duplicates dropped; the number of
   windows alone needs no values at all, only the walk;
@@ -21,7 +21,7 @@ strictly increasing in m. Those two monotonicities drive everything here:
   as many class buffers as threads are live at once.
 
 Prefix sums are held mod 2^64, so a difference is a window's true value
-only below 2^64; each search states why its probes stay there.
+only below 2^64; the walk states why its probes stay there.
 
 Counts come in two flavors and both are always computed: the number of
 distinct representable values (set semantics) and the number of windows
@@ -99,9 +99,9 @@ def _covered(x: int, table: PrimeTable, name: str = "x") -> int:
 def _last_start(x: int, m: int, hi: int, table: PrimeTable) -> int:
     """The largest n <= hi with window (n, m) <= x, or 0 if there is none.
 
-    Gallops down from hi, where callers' answers tend to sit, then bisects.
-    Exact only when every window (n, m) with n <= hi is below 2^64; each
-    caller states why that holds.
+    Gallops down from hi, where the walk's answers tend to sit, then
+    bisects. Exact only when every window (n, m) with n <= hi is below
+    2^64; _walk says why its calls keep to that.
     """
     item = table.square_prefix.item
 
@@ -156,26 +156,11 @@ def enumerate_representations(
             yield Representation(n, m, value)
 
 
-def count_windows(x: int, length: int, table: PrimeTable) -> int:
-    """Number of windows of the given length with value <= x.
-
-    A search on the start index; windows of a fixed length are monotone
-    in it. A length-m window below x starts at a prime p with
-    m p^2 <= x, which caps the search at pi(sqrt(x / m)). Returns 0 when
-    even the first window S_length exceeds x.
-    """
-    x = _covered(x, table)
-    m = int(length)
-    if m < 1:
-        raise ValueError(f"window length must be >= 1, got {m}")
-    k = len(table)
-    hi = min(int(np.searchsorted(table.primes, isqrt(x // m), side="right")), k - m + 1)
-    # the windows searched hold m primes <= p_{hi+m-1}, so their values stay
-    # below 2^64 while m p_{hi+m-1}^2 does; past that, take c_m from the walk
-    if hi < 1 or m * int(table.primes[hi + m - 2]) ** 2 < 1 << 64:
-        return _last_start(x, m, hi, table)
-    counts = _walk(x, table)
-    return counts[m - 1] if m <= len(counts) else 0
+def count_windows(x: int, table: PrimeTable) -> list[int]:
+    """c_m at index m - 1, the number of length-m windows with value <= x,
+    for every length m that has one: the walk's counts as they stand.
+    Every c_m is positive and the list ends where S_m first exceeds x."""
+    return _walk(_covered(x, table), table)
 
 
 SPLIT_WINDOWS = 1 << 20
@@ -336,7 +321,7 @@ def count_sums(x: int, table: PrimeTable) -> CountReport:
 def multiplicity_count(x: int, table: PrimeTable) -> int:
     """Number of windows with value <= x: count_sums' multiplicity alone,
     from the walk, without building or sorting any value."""
-    return sum(_walk(_covered(x, table), table))
+    return sum(count_windows(x, table))
 
 
 def find_representations(target: int, table: PrimeTable) -> list[Representation]:

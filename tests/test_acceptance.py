@@ -7,6 +7,7 @@ printed with capture suspended so they stay visible in a plain pytest run.
 import json
 import random
 import time
+from collections import Counter
 from math import isqrt, log
 
 import numpy as np
@@ -279,15 +280,21 @@ def test_criterion_7_lemma_suite(announce):
 
 
 def test_criterion_8_decomposition(table_big, announce):
+    oracle = oracle_windows(GRID[-1])
     for x in GRID:
+        per_length = Counter(m for m, _, value in oracle if value <= x)
+        expected = [per_length[m] for m in range(1, len(per_length) + 1)]
+        assert count_windows(x, table_big) == expected, f"x={x}"
         report = count_sums(x, table_big)
+        assert report.multiplicity_count == sum(expected), f"x={x}"
         exact_m = analytic_max_window(x, table_big).exact_m
-        assert report.max_length_seen == exact_m, f"x={x}"
-        total = sum(
-            count_windows(x, m, table_big) for m in range(1, exact_m + 1)
-        )
-        assert report.multiplicity_count == total, f"x={x}"
-    announce(8, True, "multiplicity = sum of per-length counts, cap = exact_M, on the grid")
+        assert report.max_length_seen == exact_m == len(expected), f"x={x}"
+    announce(
+        8,
+        True,
+        "per-length counts = the oracle's, multiplicity = their sum, "
+        "cap = exact_M, on the grid",
+    )
 
 
 def test_criterion_9_count_at_1e12(cli_cache, capsys, announce):

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cpsq.bounds
+import cpsq.windows
 from cpsq import (
     ApplicabilityError,
     DomainError,
     INFORMATIONAL_LABELS,
+    TableRangeError,
     analytic_max_window,
     check_dusart,
     check_length_count_bound,
@@ -28,6 +30,7 @@ from cpsq import (
     upper_bound,
     verify_count_bounds,
 )
+from cpsq.cli import main
 from cpsq.reports import FAIL, PASS
 
 
@@ -112,54 +115,75 @@ def test_analytic_cap_never_drops_below_5(table_small):
 # ---------------------------------------------------------------------------
 
 def test_length_count_bound_named_points(table_small):
-    r = check_length_count_bound(2020, 4, table_small)
+    r = check_length_count_bound(2020, table_small)[3]
+    assert r.label == "length-count-bound[m=4]"
     assert r.observed == 7
     assert r.lhs == 8.0  # pi(floor(sqrt(505))) = pi(22)
     assert r.verdict == PASS
 
-    r1 = check_length_count_bound(100, 1, table_small)
+    r1 = check_length_count_bound(100, table_small)[0]
     assert r1.observed == 4 and r1.lhs == 4.0  # scp_1(100) = pi(10)
     assert r1.verdict == PASS
 
 
 def test_length_count_bound_rejects_bad_ranges(table_small):
-    with pytest.raises(ApplicabilityError):
-        check_length_count_bound(10, 10, table_small)
+    # below S_1 = 4 no length has a window; below S_2 = 13 only m = 1 does
+    assert check_length_count_bound(3, table_small) == []
+    assert [r.label for r in check_length_count_bound(12, table_small)] == [
+        "length-count-bound[m=1]"
+    ]
     with pytest.raises(ValueError):
-        check_length_count_bound(10, 0, table_small)
+        check_length_count_bound(0, table_small)
+    with pytest.raises(TableRangeError):
+        check_length_count_bound(10**9, table_small)  # needs primes to 31622
 
 
 def test_length_count_bound_whole_grid(table_big):
     """Every (x, m) with x a power of ten up to 10^6 and m up to the cap."""
     for x in (10**3, 10**4, 10**5, 10**6):
-        cap = analytic_max_window(x, table_big)
-        for m in range(1, cap.exact_m + 1):
-            r = check_length_count_bound(x, m, table_big)
+        reports = check_length_count_bound(x, table_big)
+        assert len(reports) == analytic_max_window(x, table_big).exact_m
+        for m, r in enumerate(reports, 1):
+            assert r.label == f"length-count-bound[m={m}]"
             assert r.verdict == PASS, f"x={x} m={m}: {r}"
+
+
+def test_length_count_bound_fails_a_count_past_its_pi_cap(monkeypatch, capsys, table_small):
+    # the walk is the one source of c_m: one length-3 window more than
+    # pi(sqrt(x / 3)) must fail that length's chain and the verify command
+    walk = cpsq.windows._walk
+
+    def overcounting_walk(x, table):
+        counts = walk(x, table)
+        counts[2] = prime_count(isqrt(x // 3), table) + 1
+        return counts
+
+    monkeypatch.setattr(cpsq.windows, "_walk", overcounting_walk)
+    reports = check_length_count_bound(10**5, table_small)
+    assert [r.label for r in reports if r.verdict == FAIL] == ["length-count-bound[m=3]"]
+    assert reports[2].observed == reports[2].lhs + 1
+    assert main(["verify", "--grid", "100000"]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if line.endswith("fail")]
+    assert len(failed) == 1 and failed[0].startswith("length-count-bound[m=3]")
 
 
 def test_length_count_bound_majorant_is_the_local_log_form(table_small):
     # at x = 10^5, m = 3 there are 40 windows; 2.5102 sqrt(x/3)/ln(x/3) is
     # 44.0 and caps them, while the same expression with ln x is 39.8 and
     # would not
-    r = check_length_count_bound(10**5, 3, table_small)
+    r = check_length_count_bound(10**5, table_small)[2]
     assert r.observed == 40
     assert r.rhs == pytest.approx(44.0065, abs=1e-3)
     assert r.verdict == PASS
     assert 2.5102 * math.sqrt(10**5 / 3) / math.log(10**5) < 40
 
 
-@given(
-    st.integers(min_value=5, max_value=10**6),
-    st.integers(min_value=1, max_value=40),
-)
+@given(st.integers(min_value=5, max_value=10**6))
 @settings(max_examples=60)
-def test_length_count_bound_random_points(table_small, x, m):
-    if x <= m:
-        return
-    r = check_length_count_bound(x, m, table_small)
-    assert r.verdict == PASS
-    assert r.observed <= r.lhs < r.rhs
+def test_length_count_bound_random_points(table_small, x):
+    for r in check_length_count_bound(x, table_small):
+        assert r.verdict == PASS
+        assert r.observed <= r.lhs < r.rhs
 
 
 # ---------------------------------------------------------------------------

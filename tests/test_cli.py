@@ -3,8 +3,12 @@
 import contextlib
 import io
 import json
+import os
 import struct
+import subprocess
+import sys
 from math import isqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +19,6 @@ import cpsq.bounds
 import cpsq.cli
 import cpsq.primes
 from cpsq import (
-    DEFAULT_SEGMENT_ODDS,
     REFERENCE_VALUES,
     PrimeTable,
     count_sums,
@@ -322,27 +325,11 @@ def test_small_tables_are_not_cached(capsys, tmp_path):
     assert not (tmp_path / "cache" / "primes.cpsq").exists()
 
 
-def test_cache_dir_flag_used_when_env_unset(capsys, tmp_path, monkeypatch):
-    monkeypatch.delenv("CPSQ_CACHE_DIR")
-    flagged = tmp_path / "flagged"
-    code, _, _ = run_cli(capsys, "count", "10^10", "--cache-dir", str(flagged))
-    assert code == 0
-    assert (flagged / "primes.cpsq").is_file()
-
-
-def test_env_var_beats_cache_dir_flag(capsys, tmp_path):
-    flagged = tmp_path / "flagged"
-    code, _, _ = run_cli(capsys, "count", "10^10", "--cache-dir", str(flagged))
-    assert code == 0
-    assert not flagged.exists()
-    assert (tmp_path / "cache" / "primes.cpsq").is_file()
-
-
 def test_dedup_refusal_exits_3_and_multiplicity_still_answers(capsys, monkeypatch):
     x = 3 * 10**9
     windows = count_sums(x, sieve_primes(isqrt(x))).multiplicity_count
     # a ceiling the sieve passes but the 9 bytes a window of the dedup do not
-    ceiling = _estimated_output_bytes(isqrt(x), DEFAULT_SEGMENT_ODDS)
+    ceiling = _estimated_output_bytes(isqrt(x))
     assert ceiling < 9 * windows
     monkeypatch.setattr(cpsq.primes, "MAX_SIEVE_BYTES", ceiling)
     for argv in (
@@ -404,3 +391,25 @@ def test_every_argv_gets_one_exit_code_of_the_contract(argv):
     if code in (2, 3):
         errors = [line for line in err.getvalue().splitlines() if "error:" in line]
         assert len(errors) == 1, err.getvalue()
+
+
+# both outputs pass any pipe buffer (5.5 MB and 180 kB), so closing the
+# pipe after one line leaves the command writing into a closed stdout
+@pytest.mark.parametrize(
+    "argv", [["list", "1e10"], ["verify", "--format", "json"]], ids=["list", "verify"]
+)
+def test_closed_stdout_ends_quietly_with_the_decided_code(argv, tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, CPSQ_CACHE_DIR=str(tmp_path / "cache"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cpsq.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0, err
+    for marker in ("Traceback", "BrokenPipeError", "Exception ignored"):
+        assert marker not in err

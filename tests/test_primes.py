@@ -24,7 +24,7 @@ from cpsq import (
     save_table,
     sieve_primes,
 )
-from cpsq.primes import DEFAULT_SEGMENT_ODDS, MAX_LIMIT, _estimated_output_bytes
+from cpsq.primes import MAX_LIMIT, _estimated_output_bytes
 from oracles import prime_count_naive, trial_division_primes
 
 ORACLE_PRIMES_2048 = trial_division_primes(2048)
@@ -53,10 +53,11 @@ def test_sieve_matches_trial_division_every_limit_to_2048():
 
 
 @pytest.mark.parametrize("segment_odds", [1, 2, 3, 5, 16, 64])
-def test_sieve_segment_size_never_changes_output(segment_odds):
+def test_sieve_segment_size_never_changes_output(monkeypatch, segment_odds):
+    monkeypatch.setattr(cpsq.primes, "ODDS_PER_SEGMENT", segment_odds)
     for limit in (0, 1, 2, 3, 9, 10, 100, 289, 541):
         expected = [p for p in ORACLE_PRIMES_2048 if p <= limit]
-        got = list(sieve_primes(limit, segment_odds).primes)
+        got = list(sieve_primes(limit).primes)
         assert got == expected, f"limit={limit} segment={segment_odds}"
 
 
@@ -194,7 +195,7 @@ def test_memory_estimate_covers_the_traced_peak(limit):
     finally:
         tracemalloc.stop()
     assert len(table) > 0
-    assert _estimated_output_bytes(limit, DEFAULT_SEGMENT_ODDS) >= peak
+    assert _estimated_output_bytes(limit) >= peak
 
 
 def test_limit_cap_is_refused_before_allocating(monkeypatch):
@@ -216,8 +217,6 @@ def test_limit_cap_is_refused_before_allocating(monkeypatch):
 def test_sieve_rejects_bad_arguments():
     with pytest.raises(ValueError):
         sieve_primes(-1)
-    with pytest.raises(ValueError):
-        sieve_primes(100, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from itertools import accumulate
 import numpy as np
 import pytest
 
-import cpsq.windows
 from cpsq import (
     PrimeTable,
     count_windows,
@@ -74,8 +73,11 @@ def test_count_windows_at_1e14(wrapped):
     x = 10**14
     rng = random.Random(14)
     lengths = [1, 2, 3, *rng.sample(range(4, 20_000), 12)]
+    counts = count_windows(x, table)
+    assert len(counts) == bisect_right(exact, x) - 1  # S_m <= x < S_{m+1}
     for m in lengths:
-        assert count_windows(x, m, table) == last_start(exact, x, m), f"m={m}"
+        got = counts[m - 1] if m <= len(counts) else 0
+        assert got == last_start(exact, x, m), f"m={m}"
 
 
 def test_max_window_length_past_the_wrap(wrapped):
@@ -86,22 +88,15 @@ def test_max_window_length_past_the_wrap(wrapped):
     assert table.prefix_sum(len(table)) == exact[-1]
 
 
-def test_count_windows_falls_back_to_the_walk(monkeypatch):
-    # not primes: PrimeTable never checks, and these squares make some
-    # length-4 windows pass 2^64 below the per-length search cap
+def test_count_windows_falls_back_to_the_walk():
+    # not primes: PrimeTable never checks, and these squares put some
+    # length-4 windows past 2^64 at starts below pi(sqrt(x / 4))
     values = [10**9, 11 * 10**8, 12 * 10**8, 3 * 10**9, 301 * 10**7, 302 * 10**7, 303 * 10**7]
     table = PrimeTable(MAX_LIMIT, np.array(values))
     exact = [0, *accumulate(v * v for v in values)]
     x = 9 * 10**18
-    walks = []
-    walk = cpsq.windows._walk
-
-    def recorded_walk(*args):
-        walks.append(args)
-        return walk(*args)
-
-    monkeypatch.setattr(cpsq.windows, "_walk", recorded_walk)
-    assert count_windows(x, 4, table) == last_start(exact, x, 4) == 0
-    assert len(walks) == 1
-    for m in range(1, 8):
-        assert count_windows(x, m, table) == last_start(exact, x, m), f"m={m}"
+    expected = [last_start(exact, x, m) for m in range(1, 8)]
+    assert expected[3] == 0
+    counts = count_windows(x, table)
+    assert counts == expected[: len(counts)]
+    assert not any(expected[len(counts) :])
