@@ -16,6 +16,9 @@ PASS = "pass"
 FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
 
+#: the smallest positive normal binary64 value (sys.float_info.min)
+_MIN_NORMAL = 2.0**-1022
+
 
 def compare_strict(lhs: float, rhs: float) -> str:
     """Verdict for the strict inequality ``lhs < rhs`` in binary64.
@@ -25,11 +28,23 @@ def compare_strict(lhs: float, rhs: float) -> str:
     rounding never fabricates a strict inequality. A non-strict link
     ``lhs <= rhs`` holds up to that margin exactly when the verdict is not
     FAIL.
+
+    The ulp term only matters below the smallest normal float. A normal
+    scale in [2^e, 2^(e+1)) has ulp 2^(e-52), so 4 ulps are at most
+    2^-50 * scale, three orders of magnitude below 1e-12 * scale; there
+    the margin is the relative term alone (inf included). Only a zero or
+    subnormal scale needs the two-term form. A nan operand makes both
+    differences nan, so it is INCONCLUSIVE whichever margin it meets.
     """
     lhs = float(lhs)
     rhs = float(rhs)
-    scale = max(abs(lhs), abs(rhs))
-    margin = max(4.0 * math.ulp(scale), 1e-12 * scale)
+    a = lhs if lhs >= 0.0 else -lhs
+    b = rhs if rhs >= 0.0 else -rhs
+    scale = a if a > b else b
+    if scale >= _MIN_NORMAL:
+        margin = 1e-12 * scale
+    else:
+        margin = max(4.0 * math.ulp(scale), 1e-12 * scale)
     if rhs - lhs > margin:
         return PASS
     if lhs - rhs > margin:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, fields, is_dataclass
+from dataclasses import fields, is_dataclass
 from typing import Any, Iterable, Sequence, TextIO
 
 import numpy as np
@@ -64,10 +64,14 @@ def _plain(value: Any) -> Any:
 
 
 def record_to_dict(record: Record) -> dict[str, Any]:
-    """Field-order-preserving dict with JSON-safe keys."""
-    if not is_dataclass(record):
+    """Field-order-preserving dict with JSON-safe keys.
+
+    Shallow: the records hold only scalars and one int -> int mapping,
+    which ``_plain`` copies with string keys, so nothing needs a deep copy.
+    """
+    if not is_dataclass(record) or isinstance(record, type):
         raise TypeError(f"not a report record: {record!r}")
-    return {k: _plain(v) for k, v in asdict(record).items()}
+    return {f.name: _plain(getattr(record, f.name)) for f in fields(record)}
 
 
 def record_from_dict(cls: type, data: dict[str, Any]) -> Record:

@@ -4,12 +4,21 @@ Everything here is deliberately naive: trial division for primality, a
 doubly nested loop over window starts for the enumeration. No sieve, no
 prefix sums, no two-pointer tricks, so a bug in the package cannot hide
 in its oracle.
+
+The scalar bound checks get references of another kind: the plain first
+forms of ``compare_strict``, ``check_dusart`` and ``check_rosser``, with
+their keyword-built records, so that faster forms can be held to the same
+arithmetic bit for bit.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from math import isqrt
+
+from cpsq.primes import DUSART_LOWER_MIN_N, DUSART_UPPER_FACTOR, DusartCheck
+from cpsq.reports import FAIL, INCONCLUSIVE, PASS, BoundReport
 
 
 def is_prime(n: int) -> bool:
@@ -68,3 +77,53 @@ def printed_values(values: list[int], fmt: str) -> str:
         "csv": "value\n" + lines,
         "json": json.dumps(values) + "\n",
     }[fmt]
+
+
+def reference_compare_strict(lhs: float, rhs: float) -> str:
+    """``lhs < rhs`` with a margin of max(4 ulp, 1e-12 relative) of the
+    larger operand, as two builtin max calls compute it."""
+    lhs = float(lhs)
+    rhs = float(rhs)
+    scale = max(abs(lhs), abs(rhs))
+    margin = max(4.0 * math.ulp(scale), 1e-12 * scale)
+    if rhs - lhs > margin:
+        return PASS
+    if lhs - rhs > margin:
+        return FAIL
+    return INCONCLUSIVE
+
+
+def reference_check_dusart(n: int, table) -> DusartCheck:
+    """N/ln N < pi(N) < 1.2551 N/ln N at N = n, pi read off ``table``."""
+    n = int(n)
+    pi_n = int(table.primes.searchsorted(n, "right"))
+    log_n = math.log(n)
+    lower = n / log_n
+    upper = DUSART_UPPER_FACTOR * n / log_n
+    lower_applicable = n >= DUSART_LOWER_MIN_N
+    passed = reference_compare_strict(pi_n, upper) == PASS and (
+        not lower_applicable or reference_compare_strict(lower, pi_n) == PASS
+    )
+    return DusartCheck(
+        n=n,
+        lower_value=lower,
+        pi_value=pi_n,
+        upper_value=upper,
+        lower_applicable=lower_applicable,
+        passed=passed,
+    )
+
+
+def reference_check_rosser(n: int, table) -> BoundReport:
+    """p_n > n ln n, p_n read off ``table``; ``n`` must be a Python int."""
+    p_n = int(table.primes[n - 1])
+    lhs = n * math.log(n)
+    return BoundReport(
+        label="rosser",
+        x_or_m=n,
+        lhs=lhs,
+        rhs=float(p_n),
+        observed=p_n,
+        applicable=True,
+        verdict=reference_compare_strict(lhs, float(p_n)),
+    )
