@@ -178,6 +178,11 @@ def check_length_count_bound(x: int, table: PrimeTable) -> list[BoundReport]:
     return reports
 
 
+def _weighted_square_terms(m_cap: int) -> list[float]:
+    """The terms (n ln n)^2 for n = 2, ..., M, in that order."""
+    return [(n * log(n)) ** 2 for n in range(2, m_cap + 1)]
+
+
 def check_window_cap_substitution(
     x: int, table: PrimeTable | None = None
 ) -> BoundReport:
@@ -193,7 +198,7 @@ def check_window_cap_substitution(
     """
     x = int(x)
     m_cap, table = _covering_table(x, table)
-    substituted = fsum((n * log(n)) ** 2 for n in range(2, m_cap + 1))
+    substituted = fsum(_weighted_square_terms(m_cap))
     return BoundReport(
         label="window-cap-substitution",
         x_or_m=x,
@@ -246,8 +251,9 @@ def check_weighted_square(m_cap: int) -> BoundReport:
         raise ApplicabilityError(f"weighted-square bound needs M >= 4, got {m_cap}")
     cut = math.isqrt(m_cap - 1) + 1  # ceil(sqrt(M))
     log_m = log(m_cap)
-    full = fsum((n * log(n)) ** 2 for n in range(2, m_cap + 1))
-    tail = fsum((n * log(n)) ** 2 for n in range(cut, m_cap + 1))
+    terms = _weighted_square_terms(m_cap)
+    full = fsum(terms)
+    tail = fsum(terms[cut - 2 :])  # terms[i] is the n = i + 2 term
     sq_tail = square_pyramid(m_cap) - square_pyramid(cut - 1)
     halved = (0.5 * log_m) ** 2 * sq_tail
     rhs = m_cap**3 * log_m**2 / 12.0

@@ -195,6 +195,25 @@ class DusartCheck:
     lower_applicable: bool
     passed: bool
 
+    def __init__(
+        self,
+        n: int,
+        lower_value: float,
+        pi_value: int,
+        upper_value: float,
+        lower_applicable: bool,
+        passed: bool,
+    ) -> None:
+        # stores straight into the instance dict, as BoundReport.__init__
+        # does, instead of the frozen dataclass's object.__setattr__ per field
+        d = self.__dict__
+        d["n"] = n
+        d["lower_value"] = lower_value
+        d["pi_value"] = pi_value
+        d["upper_value"] = upper_value
+        d["lower_applicable"] = lower_applicable
+        d["passed"] = passed
+
 
 def check_dusart(n: int, table: PrimeTable) -> DusartCheck:
     """Check N/ln N < pi(N) < 1.2551 N/ln N at N = n."""
@@ -209,7 +228,6 @@ def check_dusart(n: int, table: PrimeTable) -> DusartCheck:
     passed = compare_strict(pi_n, upper) == PASS and (
         not lower_applicable or compare_strict(lower, pi_n) == PASS
     )
-    # positional: a frozen record is built ~25% faster than by keyword
     return DusartCheck(n, lower, pi_n, upper, lower_applicable, passed)
 
 
@@ -219,7 +237,7 @@ def check_rosser(n: int, table: PrimeTable) -> BoundReport:
     p_n = nth_prime(n, table)
     lhs = n * math.log(n)
     rhs = float(p_n)
-    # positional as above: label, x_or_m, lhs, rhs, observed, applicable, verdict
+    # label, x_or_m, lhs, rhs, observed, applicable, verdict
     return BoundReport("rosser", n, lhs, rhs, p_n, True, compare_strict(lhs, rhs))
 
 

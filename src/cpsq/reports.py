@@ -80,3 +80,25 @@ class BoundReport:
     observed: int | None
     applicable: bool
     verdict: str
+
+    def __init__(
+        self,
+        label: str,
+        x_or_m: int,
+        lhs: float,
+        rhs: float,
+        observed: int | None,
+        applicable: bool,
+        verdict: str,
+    ) -> None:
+        # @dataclass keeps an __init__ written in the class body. The frozen
+        # one it would generate calls object.__setattr__ once per field;
+        # storing into the instance dict directly takes about half the time.
+        d = self.__dict__
+        d["label"] = label
+        d["x_or_m"] = x_or_m
+        d["lhs"] = lhs
+        d["rhs"] = rhs
+        d["observed"] = observed
+        d["applicable"] = applicable
+        d["verdict"] = verdict

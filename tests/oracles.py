@@ -8,15 +8,17 @@ in its oracle.
 The scalar bound checks get references of another kind: the plain first
 forms of ``compare_strict``, ``check_dusart`` and ``check_rosser``, with
 their keyword-built records, so that faster forms can be held to the same
-arithmetic bit for bit.
+arithmetic bit for bit. The two checks that sum (n ln n)^2 keep their
+first forms too, each summing a fresh generator per series.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from math import isqrt
+from math import fsum, isqrt, log
 
+from cpsq.bounds import _covering_table, square_pyramid
 from cpsq.primes import DUSART_LOWER_MIN_N, DUSART_UPPER_FACTOR, DusartCheck
 from cpsq.reports import FAIL, INCONCLUSIVE, PASS, BoundReport
 
@@ -126,4 +128,48 @@ def reference_check_rosser(n: int, table) -> BoundReport:
         observed=p_n,
         applicable=True,
         verdict=reference_compare_strict(lhs, float(p_n)),
+    )
+
+
+def reference_check_window_cap_substitution(x: int, table=None) -> BoundReport:
+    """sum_{2<=n<=M(x)} (n ln n)^2 against x, the sum taken term by term."""
+    x = int(x)
+    m_cap, table = _covering_table(x, table)
+    substituted = fsum((n * log(n)) ** 2 for n in range(2, m_cap + 1))
+    return BoundReport(
+        label="window-cap-substitution",
+        x_or_m=x,
+        lhs=float(x),
+        rhs=substituted,
+        observed=table.prefix_sum(m_cap),
+        applicable=True,
+        verdict=reference_compare_strict(float(x), substituted),
+    )
+
+
+def reference_check_weighted_square(m_cap: int) -> BoundReport:
+    """sum_{2<=n<=M} (n ln n)^2 >= M^3 (ln M)^2 / 12 for M >= 4, with the
+    full sum and its tail from ceil(sqrt M) each summed on its own."""
+    m_cap = int(m_cap)
+    cut = math.isqrt(m_cap - 1) + 1
+    log_m = log(m_cap)
+    full = fsum((n * log(n)) ** 2 for n in range(2, m_cap + 1))
+    tail = fsum((n * log(n)) ** 2 for n in range(cut, m_cap + 1))
+    sq_tail = square_pyramid(m_cap) - square_pyramid(cut - 1)
+    halved = (0.5 * log_m) ** 2 * sq_tail
+    rhs = m_cap**3 * log_m**2 / 12.0
+    links_hold = (
+        reference_compare_strict(tail, full) != FAIL
+        and reference_compare_strict(halved, tail) != FAIL
+        and 3 * sq_tail >= m_cap**3
+    )
+    verdict = reference_compare_strict(rhs, full) if links_hold else FAIL
+    return BoundReport(
+        label="weighted-square",
+        x_or_m=m_cap,
+        lhs=rhs,
+        rhs=full,
+        observed=None,
+        applicable=True,
+        verdict=verdict,
     )

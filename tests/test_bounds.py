@@ -32,6 +32,10 @@ from cpsq import (
 )
 from cpsq.cli import main
 from cpsq.reports import FAIL, PASS
+from oracles import (
+    reference_check_weighted_square,
+    reference_check_window_cap_substitution,
+)
 
 
 def test_lower_bound_values():
@@ -318,3 +322,24 @@ def test_full_verification_small_grid_is_clean():
     assert "rosser" in labels
     assert "weighted-square" in labels
     assert any(label.startswith("length-count-bound") for label in labels)
+
+
+# ---------------------------------------------------------------------------
+# the (n ln n)^2 series, summed from one term list
+# ---------------------------------------------------------------------------
+
+def test_weighted_square_equals_the_reference_at_every_m_to_2000():
+    for m_cap in (*range(4, 2001), *cpsq.bounds._WEIGHTED_POINTS):
+        assert check_weighted_square(m_cap) == reference_check_weighted_square(m_cap), m_cap
+
+
+def test_substitution_equals_the_reference_up_to_m_2000(table_big):
+    """Every x to 2*10^4, then x growing by 1% a step until M(x) passes
+    2000, then the default verify grid."""
+    xs = list(range(2, 20_001))
+    while analytic_max_window(xs[-1], table_big).analytic_m <= 2000:
+        xs.append(xs[-1] * 101 // 100)
+    xs.extend(cpsq.bounds.DEFAULT_VERIFY_GRID)
+    for x in xs:
+        got = check_window_cap_substitution(x, table_big)
+        assert got == reference_check_window_cap_substitution(x, table_big), x

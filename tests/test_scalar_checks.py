@@ -1,8 +1,12 @@
 """The scalar check path: compare_strict's margin and the Dusart and Rosser
 records, held bit for bit to the reference forms in ``oracles``."""
 
+import copy
+import dataclasses
+import inspect
 import json
 import math
+import pickle
 import sys
 
 import numpy as np
@@ -12,7 +16,9 @@ from hypothesis import strategies as st
 
 import cpsq.primes
 from cpsq import check_dusart, check_rosser, serialize_report, sieve_primes
-from cpsq.reports import FAIL, INCONCLUSIVE, PASS, compare_strict
+from cpsq.primes import DusartCheck
+from cpsq.reports import FAIL, INCONCLUSIVE, PASS, BoundReport, compare_strict
+from cpsq.serialize import record_from_dict, record_to_dict
 from oracles import (
     reference_check_dusart,
     reference_check_rosser,
@@ -162,6 +168,88 @@ def test_rosser_with_a_numpy_index_serializes(rosser_table):
         [check_rosser(10, rosser_table)], "json"
     )
     assert json.loads(serialize_report([record], "json"))[0]["x_or_m"] == 10
+
+
+def test_dusart_with_a_numpy_index_serializes(rosser_table):
+    record = check_dusart(np.int64(10**5), rosser_table)
+    assert record == check_dusart(10**5, rosser_table)
+    assert type(record.n) is int
+    assert serialize_report([record], "json") == serialize_report(
+        [check_dusart(10**5, rosser_table)], "json"
+    )
+
+
+# ---------------------------------------------------------------------------
+# the records' hand-written __init__ keeps every frozen-dataclass behaviour
+# ---------------------------------------------------------------------------
+
+# one value per field, in field order, no two alike, so that a value stored
+# under the wrong name or not stored at all shows
+RECORD_VALUES = [
+    (BoundReport, ("rosser", 54321, 592356.5, 672593.0, 672593, True, PASS)),
+    (BoundReport, ("dusart-lower", 16, 5.77, 6.0, None, False, INCONCLUSIVE)),
+    (DusartCheck, (654321, 48906.25, 53209, 61382.24, True, False)),
+    (DusartCheck, (16, 5.77, 6, 7.24, False, True)),
+]
+
+
+@pytest.fixture(params=RECORD_VALUES, ids=lambda p: f"{p[0].__name__}-{p[1][0]}")
+def built(request):
+    """A record class, its field values in order and the record built
+    positionally from them."""
+    cls, values = request.param
+    return cls, values, cls(*values)
+
+
+@pytest.mark.parametrize("cls", [BoundReport, DusartCheck])
+def test_record_init_takes_the_fields_in_order(cls):
+    params = list(inspect.signature(cls.__init__).parameters)
+    assert params[0] == "self"
+    assert params[1:] == [f.name for f in dataclasses.fields(cls)]
+
+
+def test_record_init_stores_each_field_under_its_name(built):
+    cls, values, record = built
+    names = [f.name for f in dataclasses.fields(cls)]
+    assert [getattr(record, name) for name in names] == list(values)
+    assert list(vars(record).items()) == list(zip(names, values))
+
+
+def test_record_built_by_keyword_equals_the_positional_one(built):
+    cls, values, record = built
+    names = [f.name for f in dataclasses.fields(cls)]
+    by_keyword = cls(**dict(zip(names, values)))
+    assert by_keyword == record
+    assert hash(by_keyword) == hash(record)
+    assert repr(by_keyword) == repr(record)
+
+
+def test_record_stays_frozen(built):
+    cls, _, record = built
+    for f in dataclasses.fields(cls):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, f.name, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(record, f.name)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.extra = 1
+
+
+def test_record_round_trips(built):
+    cls, values, record = built
+    for twin in (
+        pickle.loads(pickle.dumps(record)),
+        copy.copy(record),
+        dataclasses.replace(record),
+        record_from_dict(cls, record_to_dict(record)),
+    ):
+        assert type(twin) is cls
+        assert twin == record
+        assert vars(twin) == vars(record)
+    second = dataclasses.fields(cls)[1].name  # numeric in both classes
+    changed = dataclasses.replace(record, **{second: values[1] + 1})
+    assert getattr(changed, second) == values[1] + 1
+    assert changed != record
 
 
 # ---------------------------------------------------------------------------
