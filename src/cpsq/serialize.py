@@ -8,7 +8,8 @@ in declaration order and mappings keep their (ascending) insertion order.
 
 Value lists (``write_values``) skip the per-value Python objects: a sorted
 uint64 array is turned into ASCII bytes by numpy, 2^16 values at a time,
-and written chunk by chunk.
+storing each 4-digit group straight into its place in the output, on up to
+one thread per CPU, and written chunk by chunk in order.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from .primes import DusartCheck
 from .reports import BoundReport
-from .windows import CountReport, Representation
+from .windows import CountReport, Representation, _thread_map
 from .bounds import WindowCap
 
 FORMATS = ("text", "json", "csv")
@@ -45,7 +46,20 @@ def _digit_groups() -> np.ndarray:
     return grid.view(np.uint32).ravel()
 
 
+def _leading_groups(groups: np.ndarray) -> list[np.ndarray]:
+    """At index d, the d ASCII digits of every i < 10^d, without padding,
+    then 4 - d zero bytes, as one uint32 apiece (index 0 unused)."""
+    digits = groups.view(np.uint8).reshape(-1, 4)
+    leads = [groups[:0]]
+    for d in range(1, 5):
+        lead = np.zeros((10**d, 4), dtype=np.uint8)
+        lead[:, :d] = digits[: 10**d, 4 - d :]
+        leads.append(lead.view(np.uint32).ravel())
+    return leads
+
+
 _GROUPS = _digit_groups()
+_LEADS = _leading_groups(_GROUPS)
 _GROUP_BASE = np.uint64(10**4)
 _POW10 = np.array([10**k for k in range(1, 20)], dtype=np.uint64)
 
@@ -166,26 +180,48 @@ def serialize_report(records: Sequence[Record], fmt: str) -> str:
     raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
 
 
+def _column(out: np.ndarray, at: int, row: int, n: int) -> np.ndarray:
+    """The uint32 at byte ``at`` of each of n rows of ``row`` bytes in
+    ``out``: a strided view, unaligned in general."""
+    return np.ndarray((n,), np.uint32, out, at, (row,))
+
+
 def _render_values(chunk: np.ndarray, sep: bytes) -> np.ndarray:
-    """ASCII bytes of a nonempty sorted uint64 chunk, each value then ``sep``."""
+    """ASCII bytes of a nonempty sorted uint64 chunk, each value then ``sep``.
+
+    The values of w digits are one run of rows w + len(sep) bytes long,
+    filled a column at a time with no copy between: first the leading group
+    of 1-4 digits, stored as 4 bytes with zeros after its digits; then the
+    4-digit groups, right to left, the first of which overwrites those
+    zeros; then the separator, over any zeros past the digits. Rows shorter
+    than 4 bytes (values below 100) would overlap, so their leading group is
+    copied bytewise instead.
+    """
     top = len(str(int(chunk[-1])))  # digits of the largest value
-    groups = -(-top // 4)
-    block = np.empty((chunk.size, groups), dtype=np.uint32)
-    rest = chunk
-    for g in reversed(range(groups)):
-        quotient = rest // _GROUP_BASE
-        block[:, g] = _GROUPS[rest - quotient * _GROUP_BASE]
-        rest = quotient
-    digits = block.view(np.uint8)  # every value zero-padded to 4 * groups digits
     # sorted values: those of w digits are one run, cut at the powers of 10
     cuts = [0, *np.searchsorted(chunk, _POW10[: top - 1]).tolist(), chunk.size]
-    runs = [(w, lo, hi) for w, (lo, hi) in enumerate(zip(cuts, cuts[1:]), 1)]
+    runs = [(w, lo, hi) for w, (lo, hi) in enumerate(zip(cuts, cuts[1:]), 1) if lo < hi]
     out = np.empty(sum((hi - lo) * (w + len(sep)) for w, lo, hi in runs), dtype=np.uint8)
     pos = 0
     for w, lo, hi in runs:
-        rows = out[pos : pos + (hi - lo) * (w + len(sep))].reshape(hi - lo, w + len(sep))
-        rows[:, :w] = digits[lo:hi, 4 * groups - w :]
-        rows[:, w:] = np.frombuffer(sep, dtype=np.uint8)
+        n, row, lead = hi - lo, w + len(sep), (w - 1) % 4 + 1
+        rows = out[pos : pos + n * row]
+        rest = chunk[lo:hi]
+        # indices below 10^4 read the same as int64, which take needs
+        index = rest // _POW10[w - lead - 1] if w > lead else rest
+        high = _LEADS[lead].take(index.view(np.int64))
+        if row >= 4:
+            _column(out, pos, row, n)[...] = high
+        else:
+            rows.reshape(n, row)[:, :w] = high.view(np.uint8).reshape(n, 4)[:, :w]
+        for at in range(w - 4, lead - 1, -4):
+            quotient = rest // _GROUP_BASE
+            low = quotient * _GROUP_BASE
+            np.subtract(rest, low, out=low)  # in place: one chunk-sized array fewer
+            _column(out, pos + at, row, n)[...] = _GROUPS.take(low.view(np.int64))
+            rest = quotient
+        for k, byte in enumerate(sep):
+            rows[w + k :: row] = byte
         pos += rows.size
     return out
 
@@ -195,17 +231,22 @@ def write_values(values: np.ndarray, fmt: str, stream: TextIO) -> None:
 
     text is one value a line, csv the same under a ``value`` header, json
     exactly ``json.dumps(list(values))`` and a newline. Values are rendered
-    VALUE_CHUNK at a time, so no Python object is made per value.
+    VALUE_CHUNK at a time on up to windows._workers() threads, at most two
+    rendered chunks a thread ahead of the writing, and written in order by
+    the calling thread, one ``write`` a chunk; no Python object is made per
+    value.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
     values = np.asarray(values, dtype=np.uint64)
     head, sep, tail = _VALUE_LAYOUT[fmt]
-    stream.write(head)
-    for start in range(0, values.size, VALUE_CHUNK):
-        chunk = _render_values(values[start : start + VALUE_CHUNK], sep)
-        text = chunk.tobytes().decode("ascii")
+
+    def render(start: int) -> str:
+        text = _render_values(values[start : start + VALUE_CHUNK], sep)
         if fmt == "json" and start + VALUE_CHUNK >= values.size:
             text = text[: -len(sep)]  # json's ", " goes between values only
-        stream.write(text)
+        return str(text, "ascii")
+
+    stream.write(head)
+    _thread_map(render, range(0, values.size, VALUE_CHUNK), stream.write)
     stream.write(tail)

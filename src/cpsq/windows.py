@@ -19,6 +19,11 @@ strictly increasing in m. Those two monotonicities drive everything here:
   (n, m) with n >= 3 has value = m (mod 24) and equal values share a class
   of value mod 24. Each class is a cache-sized sort of its own, and only
   as many class buffers as threads are live at once.
+* values_up_to needs one ascending array instead: past SPLIT_WINDOWS it
+  partitions its one value buffer in place at evenly spaced ranks into
+  bands, every value of a band at most every value of the next, and sorts,
+  marks and compacts the bands on a few threads. Equal values on both sides
+  of a band edge are one compare apart, made at the edge.
 
 Prefix sums are held mod 2^64, so a difference is a window's true value
 only below 2^64; the walk states why its probes stay there.
@@ -35,7 +40,7 @@ import os
 import threading
 from dataclasses import dataclass
 from math import isqrt
-from typing import Iterator
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -164,20 +169,113 @@ def count_windows(x: int, table: PrimeTable) -> list[int]:
 
 
 SPLIT_WINDOWS = 1 << 20
-"""count_sums dedups fewer windows than this in one piece on the calling
-thread, and more by residue class on up to _workers() threads."""
+"""count_sums and values_up_to dedup fewer windows than this in one piece
+on the calling thread; more, count_sums by residue class and values_up_to
+by value band, on up to _workers() threads."""
 
 _CLASSES = 24
 
+_T = TypeVar("_T")
+_R = TypeVar("_R")
+
 
 def _workers() -> int:
-    """Threads for the class split: the CPUs this process may run on, at
-    most one a class."""
+    """Threads for a split dedup or for rendering: the CPUs this process
+    may run on, at most one a residue class."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
     return min(cpus, _CLASSES)
+
+
+def _thread_map(
+    task: Callable[[_T], _R],
+    items: Sequence[_T],
+    consume: Callable[[_R], object] | None = None,
+    threads: int | None = None,
+    ahead: int = 2,
+) -> None:
+    """Run ``task`` on every item on up to ``threads`` threads (default
+    _workers()): the calling thread and daemon threads, none started for
+    one thread or one item. ``consume``, if given, gets the results on the
+    calling thread in item order. A task starts only while fewer than
+    ``ahead`` results a thread are started and not yet consumed, so that
+    many results at most are held at once, plus the one being consumed.
+
+    Every thread has ended when this returns or raises. An exception in a
+    task stops the tasks not yet started and is raised here once the
+    results before it are consumed, the first in item order if several
+    fail; an exception in ``consume`` stops them too and is raised as is.
+    """
+    threads = max(1, min(_workers() if threads is None else threads, len(items)))
+    limit = ahead * threads
+    results: dict[int, _R] = {}
+    errors: dict[int, BaseException] = {}
+    cond = threading.Condition()
+    started = consumed = 0
+    closed = False
+
+    def claim() -> int | None:
+        """The next item to run, if one may start now; called under cond."""
+        nonlocal started
+        if closed or errors or started == len(items) or started >= consumed + limit:
+            return None
+        started += 1
+        return started - 1
+
+    def run(i: int) -> None:
+        try:
+            result = task(items[i])
+        except BaseException as exc:  # re-raised by the calling thread
+            with cond:
+                errors[i] = exc
+                cond.notify_all()
+        else:
+            with cond:
+                results[i] = result
+                cond.notify_all()
+
+    def work() -> None:
+        while True:
+            with cond:
+                while (i := claim()) is None:
+                    if closed or errors or started == len(items):
+                        return
+                    cond.wait()  # for room ahead
+            run(i)
+
+    workers: list[threading.Thread] = []
+    try:
+        for _ in range(threads - 1):
+            # daemon: an interrupt that ends the joins early must not leave
+            # the interpreter waiting at exit for the remaining tasks
+            workers.append(threading.Thread(target=work, daemon=True))
+            workers[-1].start()
+        for i in range(len(items)):
+            while True:
+                with cond:
+                    if i in errors:
+                        raise errors[i]
+                    if i in results:
+                        result = results.pop(i)
+                        consumed += 1
+                        cond.notify_all()
+                        break
+                    # item i is running elsewhere; help with a later one
+                    j = claim()
+                    if j is None:
+                        cond.wait()
+                        continue
+                run(j)
+            if consume is not None:
+                consume(result)
+    finally:
+        with cond:
+            closed = True
+            cond.notify_all()
+        for worker in workers:
+            worker.join()
 
 
 def _refuse_past_ceiling(windows: int, need: int) -> None:
@@ -190,14 +288,14 @@ def _refuse_past_ceiling(windows: int, need: int) -> None:
         )
 
 
-def _sorted_values(
+def _window_values(
     counts: list[int],
     table: PrimeTable,
     residue: int | None = None,
     heads: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted values of the windows the walk counted (all <= x, so exact),
-    8 bytes each, and a mask marking the first of each run of equal values.
+) -> np.ndarray:
+    """The values of the windows the walk counted (all <= x, so exact),
+    8 bytes each, one ascending run per length.
 
     With a ``residue`` r, only residue class r: the windows from starts
     n >= 3 of every length m = r (mod 24), whose values are all = r, plus
@@ -219,9 +317,28 @@ def _sorted_values(
         c -= skip
         np.subtract(sp[skip + m : skip + m + c], sp[skip : skip + c], out=values[end : end + c])
         end += c
+    return values
+
+
+def _mark_runs(values: np.ndarray, fresh: np.ndarray) -> None:
+    """Sort ``values`` in place and mark in ``fresh``, of the same size,
+    the first of each run of equal values."""
     values.sort()
-    fresh = np.ones(values.size, dtype=bool)
+    fresh[:1] = True
     np.not_equal(values[1:], values[:-1], out=fresh[1:])
+
+
+def _sorted_values(
+    counts: list[int],
+    table: PrimeTable,
+    residue: int | None = None,
+    heads: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """_window_values sorted, and a mask marking the first of each run of
+    equal values: 9 bytes a window."""
+    values = _window_values(counts, table, residue, heads)
+    fresh = np.empty(values.size, dtype=bool)
+    _mark_runs(values, fresh)
     return values, fresh
 
 
@@ -255,40 +372,17 @@ def _distinct_by_class(counts: list[int], table: PrimeTable) -> int:
     workers = max(int(np.count_nonzero(need <= primes.MAX_SIEVE_BYTES)), 1)
     _refuse_past_ceiling(int(c.sum()), int(need[0]))
 
-    distinct = [0] * _CLASSES
-    errors: list[BaseException] = []
-    lock = threading.Lock()
-    pending = iter(np.argsort(sizes)[::-1].tolist())  # largest first
+    def distinct(r: int) -> int:
+        # one statement, so the class's arrays are freed before the
+        # thread's next class allocates its own
+        return int(np.count_nonzero(
+            _sorted_values(long, table, r, heads[cuts[r] : cuts[r + 1]])[1]
+        ))
 
-    def work() -> None:
-        try:
-            while not errors:
-                with lock:
-                    r = next(pending, None)
-                if r is None:
-                    return
-                # one statement, so the class's arrays are freed before the
-                # next class allocates its own
-                distinct[r] = int(np.count_nonzero(
-                    _sorted_values(long, table, r, heads[cuts[r] : cuts[r + 1]])[1]
-                ))
-        except BaseException as exc:  # re-raised by the calling thread
-            errors.append(exc)
-
-    threads: list[threading.Thread] = []
-    try:
-        for _ in range(workers - 1):
-            # daemon: an interrupt that ends the joins early must not leave
-            # the interpreter waiting at exit for the remaining classes
-            threads.append(threading.Thread(target=work, daemon=True))
-            threads[-1].start()
-        work()
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
-    return sum(distinct)
+    found: list[int] = []
+    largest_first = np.argsort(sizes)[::-1].tolist()
+    _thread_map(distinct, largest_first, found.append, workers, ahead=_CLASSES)
+    return sum(found)
 
 
 def count_sums(x: int, table: PrimeTable) -> CountReport:
@@ -341,16 +435,51 @@ def find_representations(target: int, table: PrimeTable) -> list[Representation]
     return [Representation(int(counts[i]), int(i) + 1, target) for i in hits]
 
 
+_PIECE = 1 << 16
+"""values_up_to compacts this many sorted values at a time; each piece's
+distinct values pass through a temporary of up to 8 bytes a value."""
+
+
 def values_up_to(x: int, table: PrimeTable) -> np.ndarray:
     """The distinct representable values <= x, ascending, as a read-only
     uint64 array. Cutting the duplicates takes up to 17 bytes a window,
-    refused past primes.MAX_SIEVE_BYTES. One piece, never split by class:
-    the list is one ascending array."""
+    refused past primes.MAX_SIEVE_BYTES.
+
+    Past SPLIT_WINDOWS windows the one value buffer is partitioned in place
+    at _workers() - 1 evenly spaced ranks, so every value of a band is at
+    most every value of the next, and the bands are sorted and marked on
+    their own threads, then compacted in pieces. Below it there is one
+    band, on the calling thread.
+    """
     counts = _walk(_covered(x, table), table)
     total = sum(counts)
     _refuse_past_ceiling(total, 17 * total)
-    values, fresh = _sorted_values(counts, table)
-    distinct = values[fresh]
+    values = _window_values(counts, table)
+    bands = _workers() if total >= SPLIT_WINDOWS else 1
+    edges = [total * b // bands for b in range(bands + 1)]
+    if bands > 1:
+        values.partition(edges[1:-1])
+    fresh = np.empty(total, dtype=bool)
+
+    def mark(b: int) -> None:
+        band = slice(edges[b], edges[b + 1])
+        _mark_runs(values[band], fresh[band])
+
+    _thread_map(mark, range(bands), threads=bands)
+    # sorted bands make the whole buffer sorted; equal values straddling an
+    # edge are one compare apart
+    for lo in edges[1:-1]:
+        if 0 < lo < total:
+            fresh[lo] = values[lo] != values[lo - 1]
+    pieces = range(0, total, _PIECE)
+    offsets = np.cumsum([0, *(np.count_nonzero(fresh[a : a + _PIECE]) for a in pieces)]).tolist()
+    distinct = np.empty(offsets[-1], dtype=np.uint64)
+
+    def compact(k: int) -> None:
+        piece = slice(pieces[k], pieces[k] + _PIECE)
+        distinct[offsets[k] : offsets[k + 1]] = values[piece][fresh[piece]]
+
+    _thread_map(compact, range(len(pieces)), threads=bands)
     distinct.flags.writeable = False
     return distinct
 

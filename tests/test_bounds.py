@@ -242,6 +242,26 @@ def test_weighted_square_passes_generically(m_cap):
     assert check_weighted_square(m_cap).verdict == PASS
 
 
+@pytest.mark.parametrize("m_cap", [4, 5, 9, 10, 16, 17, 99, 100, 101, 1000, 2000])
+def test_weighted_square_tail_starts_at_the_sqrt_cutoff(m_cap, monkeypatch):
+    # the tail sum only feeds link checks that positive terms always pass,
+    # so its lower end shows in which terms it is given, not in the verdict
+    sums = []
+
+    def recording(terms):
+        sums.append(list(terms))
+        return math.fsum(terms)
+
+    monkeypatch.setattr(cpsq.bounds, "fsum", recording)
+    check_weighted_square(m_cap)
+    full, tail = sums
+    cut = math.ceil(math.sqrt(m_cap))  # exact for these small M
+    assert full == [(n * math.log(n)) ** 2 for n in range(2, m_cap + 1)]
+    assert len(tail) == m_cap - cut + 1
+    assert tail == full[cut - 2 :]
+    assert tail[0] == (cut * math.log(cut)) ** 2
+
+
 @given(st.integers(min_value=0, max_value=5000))
 def test_square_pyramid_closed_form(m_cap):
     assert square_pyramid(m_cap) == sum(n * n for n in range(1, m_cap + 1))

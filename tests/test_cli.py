@@ -393,10 +393,19 @@ def test_every_argv_gets_one_exit_code_of_the_contract(argv):
         assert len(errors) == 1, err.getvalue()
 
 
-# both outputs pass any pipe buffer (5.5 MB and 180 kB), so closing the
-# pipe after one line leaves the command writing into a closed stdout
+# every output passes any pipe buffer (5.5 MB, 180 kB, 16 MB and 17 MB),
+# so closing the pipe after one line leaves the command writing into a
+# closed stdout; list 5e10 dedups 1.4M windows in bands and renders its 22
+# chunks on threads
 @pytest.mark.parametrize(
-    "argv", [["list", "1e10"], ["verify", "--format", "json"]], ids=["list", "verify"]
+    "argv",
+    [
+        ["list", "1e10"],
+        ["verify", "--format", "json"],
+        ["list", "5e10"],
+        ["list", "5e10", "--format", "json"],
+    ],
+    ids=["list", "verify", "list-5e10", "list-5e10-json"],
 )
 def test_closed_stdout_ends_quietly_with_the_decided_code(argv, tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -2,9 +2,17 @@
 
 import io
 import json
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import cpsq.serialize
+import cpsq.windows
 
 from cpsq import (
     BoundReport,
@@ -17,7 +25,7 @@ from cpsq import (
     record_to_dict,
     serialize_report,
 )
-from cpsq.serialize import VALUE_CHUNK, to_csv, to_json, to_text, write_values
+from cpsq.serialize import VALUE_CHUNK, _render_values, to_csv, to_json, to_text, write_values
 from oracles import printed_values
 
 SAMPLE_BOUND = BoundReport(
@@ -186,3 +194,133 @@ def test_write_values_writes_chunk_by_chunk():
 def test_write_values_unknown_format():
     with pytest.raises(ValueError, match="unknown format"):
         write_values(np.array([4], dtype=np.uint64), "yaml", io.StringIO())
+
+
+# ---------------------------------------------------------------------------
+# the renderer's column stores, and the chunks rendered on threads
+# ---------------------------------------------------------------------------
+
+def rendered(values, sep):
+    return _render_values(np.array(values, dtype=np.uint64), sep).tobytes().decode("ascii")
+
+
+def width_run(w):
+    """Sorted values of w digits: both ends of the width and some between."""
+    lo, hi = 10 ** (w - 1) if w > 1 else 0, min(10**w, 2**64) - 1
+    inner = np.random.default_rng(w).integers(lo, hi, 200, dtype=np.uint64, endpoint=True)
+    return sorted({lo, lo + 1, hi - 1, hi, *inner.tolist()})
+
+
+@pytest.mark.parametrize("sep", [b"\n", b", "])
+@pytest.mark.parametrize("w", range(1, 21))
+def test_render_every_digit_width(w, sep):
+    # w + len(sep) < 4 (w <= 2 with a newline, w = 1 with ", ") are the
+    # rows shorter than one uint32 store
+    values = width_run(w)
+    text = sep.decode()
+    assert rendered(values, sep) == "".join(f"{v}{text}" for v in values)
+    for v in values[:2] + values[-2:]:
+        assert rendered([v], sep) == f"{v}{text}"  # a chunk of one value
+
+
+@pytest.mark.parametrize("sep", [b"\n", b", "])
+def test_render_across_every_width_in_one_chunk(sep):
+    values = [v for w in range(1, 21) for v in width_run(w)]
+    text = sep.decode()
+    assert rendered(values, sep) == "".join(f"{v}{text}" for v in values)
+    assert rendered([2**64 - 1], sep) == f"{2**64 - 1}{text}"
+    assert rendered(list(range(20000)), sep) == "".join(f"{v}{text}" for v in range(20000))
+
+
+@given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=300, unique=True))
+@settings(max_examples=200)
+def test_render_random_sorted_values(values):
+    values.sort()
+    for sep in (b"\n", b", "):
+        assert rendered(values, sep) == "".join(f"{v}{sep.decode()}" for v in values)
+
+
+def many_chunks(n_chunks, seed=11):
+    values = np.random.default_rng(seed).integers(1, 10**15, n_chunks * VALUE_CHUNK, dtype=np.uint64)
+    values.sort()
+    return values
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_write_values_in_order_on_more_threads_than_cpus(fmt, monkeypatch):
+    values = many_chunks(9)
+    expected = printed_values(values.tolist(), fmt)
+    monkeypatch.setattr(cpsq.windows, "_workers", lambda: 24)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(2):
+            assert written_values(values, fmt) == expected
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_an_error_in_one_render_reaches_the_caller(monkeypatch):
+    real = cpsq.serialize._render_values
+
+    def failing(chunk, sep):
+        if chunk[0] == 3 * VALUE_CHUNK + 1:
+            raise MemoryError("chunk 3")
+        return real(chunk, sep)
+
+    monkeypatch.setattr(cpsq.serialize, "_render_values", failing)
+    before = threading.active_count()
+    values = np.arange(1, 8 * VALUE_CHUNK + 1, dtype=np.uint64)
+    for workers in (1, 2, 4):
+        monkeypatch.setattr(cpsq.windows, "_workers", lambda: workers)
+        out = io.StringIO()
+        with pytest.raises(MemoryError, match="chunk 3"):
+            write_values(values, "text", out)
+        assert threading.active_count() == before
+        assert out.getvalue() == printed_values(list(range(1, 3 * VALUE_CHUNK + 1)), "text")
+
+
+def test_a_closed_stream_stops_the_writing(monkeypatch):
+    class Closed:
+        def __init__(self):
+            self.writes = 0
+
+        def write(self, text):
+            self.writes += 1
+            if self.writes == 3:  # the head, one chunk, then the pipe closes
+                raise BrokenPipeError
+
+    monkeypatch.setattr(cpsq.windows, "_workers", lambda: 4)
+    before = threading.active_count()
+    stream = Closed()
+    with pytest.raises(BrokenPipeError):
+        write_values(many_chunks(12), "text", stream)
+    assert stream.writes == 3
+    assert threading.active_count() == before
+
+
+def test_write_values_holds_a_bounded_number_of_rendered_chunks(monkeypatch):
+    # a slow stream lets the renderers run as far ahead as they may: two
+    # chunks a thread, plus the one being written and one being rendered
+    values = many_chunks(40)
+    chunk_text = len(printed_values(values[:VALUE_CHUNK].tolist(), "text"))
+    workers = 3
+
+    class Slow:
+        def write(self, text):
+            threading.Event().wait(0.005)
+
+    monkeypatch.setattr(cpsq.windows, "_workers", lambda: workers)
+    tracemalloc.start()
+    try:
+        write_values(values[:VALUE_CHUNK], "text", Slow())  # warm up
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        write_values(values, "text", Slow())
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    # a chunk being rendered also holds its digit groups and quotients, 20
+    # bytes a value, and its bytes before they become the text
+    scratch = 20 * VALUE_CHUNK + chunk_text
+    assert peak <= (2 * workers + 2) * chunk_text + workers * scratch, peak

@@ -2,8 +2,10 @@
 
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 from math import isqrt
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -317,15 +319,44 @@ def test_split_counts_at_1e12_and_1e13(table_big):
     assert (report.distinct_count, report.multiplicity_count) == (37_153_148, 37_153_225)
 
 
-def test_values_up_to_and_small_counts_start_no_thread(table_small, monkeypatch):
-    def no_thread(*args, **kwargs):
-        raise AssertionError("a thread was started")
+@pytest.fixture
+def thread_census(monkeypatch):
+    """Counts the threads cpsq starts, and the most running at once."""
+    census = SimpleNamespace(started=0, running=0, peak=0)
+    lock = threading.Lock()
 
-    monkeypatch.setattr(cpsq.windows.threading, "Thread", no_thread)
+    class Counted(threading.Thread):
+        def run(self):
+            with lock:
+                census.started += 1
+                census.running += 1
+                census.peak = max(census.peak, census.running)
+            try:
+                super().run()
+            finally:
+                with lock:
+                    census.running -= 1
+
+    monkeypatch.setattr(cpsq.windows.threading, "Thread", Counted)
+    return census
+
+
+def test_values_up_to_and_small_counts_start_no_thread(table_small, monkeypatch, thread_census):
     distinct = count_sums(10**8, table_small).distinct_count
     assert distinct == values_up_to(10**8, table_small).size
+    assert thread_census.started == 0  # below SPLIT_WINDOWS: one piece
+    # past it, values_up_to runs on up to _workers() threads, the caller's
+    # included, and leaves none running
     monkeypatch.setattr(cpsq.windows, "SPLIT_WINDOWS", 1)
-    assert values_up_to(5000, table_small).tolist() == list(REFERENCE_VALUES)
+    before = threading.active_count()
+    for workers in (1, 2, 3, 4):
+        monkeypatch.setattr(cpsq.windows, "_workers", lambda: workers)
+        thread_census.started = thread_census.peak = 0
+        assert values_up_to(10**8, table_small).size == distinct
+        assert values_up_to(5000, table_small).tolist() == list(REFERENCE_VALUES)
+        assert 1 + thread_census.peak <= workers
+        assert (thread_census.started > 0) == (workers > 1)
+        assert threading.active_count() == before
 
 
 def test_an_error_in_one_class_reaches_the_caller(table_small, monkeypatch):
@@ -429,3 +460,106 @@ def test_dedup_at_every_repeated_value(table_big, oracle_to_1e9):
 @settings(max_examples=40)
 def test_dedup_past_the_first_repeat_matches_oracle(table_big, oracle_to_1e9, x, workers):
     assert assert_dedup_matches_oracle(x, table_big, oracle_to_1e9, workers) >= 1
+
+
+# ---------------------------------------------------------------------------
+# values_up_to split into value bands (SPLIT_WINDOWS patched low, so that
+# small x take the banded path)
+# ---------------------------------------------------------------------------
+
+def banded_values(x, table, workers):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cpsq.windows, "SPLIT_WINDOWS", 1)
+        mp.setattr(cpsq.windows, "_workers", lambda: workers)
+        return values_up_to(x, table)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_banded_values_at_every_repeated_value(table_big, oracle_to_1e9, workers):
+    values, distinct = oracle_to_1e9
+    repeated = values[1:][values[1:] == values[:-1]].tolist()
+    for v in repeated:
+        for x in (v - 1, v):
+            got = banded_values(x, table_big, workers)
+            assert np.array_equal(got, distinct[: np.searchsorted(distinct, x, side="right")])
+            assert not got.flags.writeable
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4])
+def test_banded_values_with_a_repeat_split_by_a_band_edge(table_big, oracle_to_1e9, workers):
+    # x is chosen so that the windows <= x number T, and a band edge falls
+    # between the two windows of a repeated value: at rank r + 1, where
+    # values[r] == values[r + 1]
+    values, distinct = oracle_to_1e9
+    split = 0
+    for r in np.flatnonzero(values[1:] == values[:-1]).tolist():
+        for b in range(1, workers):
+            total = -(-(r + 1) * workers // b)  # the least T with T * b // w >= r + 1
+            if total >= values.size or total * b // workers != r + 1:
+                continue  # no such T below 10^9
+            if values[total - 1] == values[total]:
+                continue  # no x has exactly T windows
+            x = int(values[total - 1])
+            got = banded_values(x, table_big, workers)
+            assert np.array_equal(got, distinct[: np.searchsorted(distinct, x, side="right")])
+            split += 1
+    assert split >= 5  # 5, 10 and 16 edges on 2, 3 and 4 threads
+
+
+@given(st.integers(min_value=15 * 10**6, max_value=10**9), st.sampled_from([1, 2, 3, 4]))
+@settings(max_examples=40)
+def test_banded_values_past_the_first_repeat_match_oracle(table_big, oracle_to_1e9, x, workers):
+    values, distinct = oracle_to_1e9
+    got = banded_values(x, table_big, workers)
+    assert np.array_equal(got, distinct[: np.searchsorted(distinct, x, side="right")])
+
+
+def test_banded_values_with_more_bands_than_windows(table_small):
+    for x in (1, 4, 13, 50, 100):
+        assert banded_values(x, table_small, 24).tolist() == oracle_distinct_values(x)
+
+
+def test_an_error_in_one_band_reaches_the_caller(table_small, monkeypatch):
+    real = cpsq.windows._mark_runs
+    calls = []
+
+    def failing(values, fresh):
+        calls.append(1)
+        if len(calls) == 2:
+            raise MemoryError("band 2")
+        real(values, fresh)
+
+    monkeypatch.setattr(cpsq.windows, "_mark_runs", failing)
+    before = threading.active_count()
+    for workers in (2, 3):
+        calls.clear()
+        with pytest.raises(MemoryError, match="band 2"):
+            banded_values(10**6, table_small, workers)
+        assert threading.active_count() == before
+
+
+def traced_peak(call):
+    """Bytes ``call`` allocates at its peak, by tracemalloc (which numpy
+    reports its buffers to), and what it returns."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return tracemalloc.get_traced_memory()[1] - start, result
+    finally:
+        tracemalloc.stop()
+
+
+def test_banded_values_keep_to_17_bytes_a_window(table_big, monkeypatch):
+    report = count_sums(5 * 10**10, table_big)
+    windows = report.multiplicity_count
+    assert windows == 1_391_139 > cpsq.windows.SPLIT_WINDOWS
+    for workers in (1, 2, 4):
+        monkeypatch.setattr(cpsq.windows, "_workers", lambda: workers)
+        peak, values = traced_peak(lambda: values_up_to(5 * 10**10, table_big))
+        # plus a compaction temporary of up to 8 bytes a value of a piece
+        # on each thread, and the walk's small arrays
+        allowance = 8 * cpsq.windows._PIECE * workers + (1 << 20)
+        assert peak <= 17 * windows + allowance, (workers, peak)
+        assert values.size == report.distinct_count
