@@ -39,9 +39,10 @@ import math
 from dataclasses import dataclass
 from math import fsum, isqrt, log
 
-from .errors import ApplicabilityError, DomainError
+from .errors import ApplicabilityError, DomainError, ResourceLimitError
 from .primes import (
     DUSART_LOWER_MIN_N,
+    MAX_LIMIT,
     DusartCheck,
     PrimeTable,
     check_dusart,
@@ -108,9 +109,12 @@ def _covering_table(x: int, table: PrimeTable | None) -> tuple[int, PrimeTable]:
     """M(x), and ``table`` if it holds M(x) primes and S_K > x, else a table
     sieved for this call, four times larger each try. The first try is the
     least L >= 17 with L / ln L >= M(x), which holds M(x) primes by Dusart,
-    so a huge x is refused by its estimate before anything is allocated."""
+    so a huge x is refused before anything is allocated."""
     if x < 2:
         raise DomainError(f"window cap needs x >= 2, got {x}")
+    if x > MAX_LIMIT**3:
+        # L >= M ln M > x^(1/3) > MAX_LIMIT there, and float(x) may overflow
+        raise ResourceLimitError(f"the window cap at x={x} needs primes past {MAX_LIMIT}")
     need = math.floor(CAP_COEFF * float(x) ** (1 / 3) / log(x) ** (2 / 3))
     # L <- ceil(M ln L) climbs from below to the least such L
     limit = DUSART_LOWER_MIN_N

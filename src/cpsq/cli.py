@@ -23,7 +23,7 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import partial
-from math import isqrt
+from math import isqrt, log10
 from pathlib import Path
 from typing import Callable
 
@@ -58,27 +58,33 @@ class CliConfig:
 
 
 def _integer_arg(text: str) -> int:
-    """Plain integers plus the 10^12 / 1e12 shorthands people type."""
+    """Plain integers plus the 10^12 / 1e12 shorthands people type, with no
+    more digits than int() reads (its default limit where that is off)."""
     try:
         return int(text)
     except ValueError:
         pass
-    m = re.fullmatch(r"(\d+)\^(\d+)", text)
-    if m:
-        return int(m.group(1)) ** int(m.group(2))
-    m = re.fullmatch(r"(\d+)e(\d+)", text)
-    if m:
-        return int(m.group(1)) * 10 ** int(m.group(2))
-    raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    m = re.fullmatch(r"(\d+)([\^e])(\d+)", text)
+    if not m:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    base, power, is_power = int(m[1]), int(m[3]), m[2] == "^"
+    # the value's log10, known before the value, which can take minutes to build
+    most = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if base and (power * log10(base) if is_power else power + log10(base)) >= most:
+        raise argparse.ArgumentTypeError(f"{text!r} has more than {most} digits")
+    return base**power if is_power else base * 10**power
 
 
 def _grid_arg(text: str) -> tuple[int, ...]:
     try:
-        return tuple(_integer_arg(part) for part in text.split(",") if part)
+        grid = tuple(_integer_arg(part) for part in text.split(",") if part)
     except argparse.ArgumentTypeError:
+        grid = ()
+    if not grid:
         raise argparse.ArgumentTypeError(
             f"grid must be comma-separated integers, got {text!r}"
         )
+    return grid
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -140,13 +140,14 @@ def sieve_primes(limit: int) -> PrimeTable:
     limit = int(limit)
     if limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
+    # the limit cap first: past it, the float estimate may overflow
+    _check_limit(limit)
     est = _estimated_output_bytes(limit)
     if est > MAX_SIEVE_BYTES:
         raise ResourceLimitError(
             f"sieving to limit={limit} needs an estimated {est} bytes, "
             f"above the {MAX_SIEVE_BYTES} byte ceiling"
         )
-    _check_limit(limit)
     return PrimeTable(limit, _odd_sieve(limit))
 
 

@@ -12,7 +12,7 @@ strictly increasing in m. Those two monotonicities drive everything here:
   the one source of every c_m, so nothing here caps c_m by
   pi(sqrt(x / m)) and bounds can check that cap against it;
 * counting never materializes the representations: the window values, one
-  uint64 each, are sorted and adjacent duplicates dropped; the number of
+  uint64 each, are sorted and their repeats found (_repeats); the number of
   windows alone needs no values at all, only the walk;
 * past SPLIT_WINDOWS windows, count_sums dedups 24 residue classes apart,
   on a few threads: p^2 = 1 (mod 24) for every prime p >= 5, so a window
@@ -21,9 +21,8 @@ strictly increasing in m. Those two monotonicities drive everything here:
   as many class buffers as threads are live at once.
 * values_up_to needs one ascending array instead: past SPLIT_WINDOWS it
   partitions its one value buffer in place at evenly spaced ranks into
-  bands, every value of a band at most every value of the next, and sorts,
-  marks and compacts the bands on a few threads. Equal values on both sides
-  of a band edge are one compare apart, made at the edge.
+  bands, every value of a band at most every value of the next, sorts the
+  bands on a few threads and closes up the repeats inside the buffer.
 
 Prefix sums are held mod 2^64, so a difference is a window's true value
 only below 2^64; the walk states why its probes stay there.
@@ -320,12 +319,10 @@ def _window_values(
     return values
 
 
-def _mark_runs(values: np.ndarray, fresh: np.ndarray) -> None:
-    """Sort ``values`` in place and mark in ``fresh``, of the same size,
-    the first of each run of equal values."""
-    values.sort()
-    fresh[:1] = True
-    np.not_equal(values[1:], values[:-1], out=fresh[1:])
+def _repeats(values: np.ndarray) -> np.ndarray:
+    """The indices of the sorted ``values`` that equal the value before
+    them, ascending: one bool a value while they are found."""
+    return np.flatnonzero(values[1:] == values[:-1]) + 1
 
 
 def _sorted_values(
@@ -334,12 +331,10 @@ def _sorted_values(
     residue: int | None = None,
     heads: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """_window_values sorted, and a mask marking the first of each run of
-    equal values: 9 bytes a window."""
+    """_window_values sorted, and its _repeats: 9 bytes a window."""
     values = _window_values(counts, table, residue, heads)
-    fresh = np.empty(values.size, dtype=bool)
-    _mark_runs(values, fresh)
-    return values, fresh
+    values.sort()
+    return values, _repeats(values)
 
 
 def _distinct_by_class(counts: list[int], table: PrimeTable) -> int:
@@ -373,11 +368,8 @@ def _distinct_by_class(counts: list[int], table: PrimeTable) -> int:
     _refuse_past_ceiling(int(c.sum()), int(need[0]))
 
     def distinct(r: int) -> int:
-        # one statement, so the class's arrays are freed before the
-        # thread's next class allocates its own
-        return int(np.count_nonzero(
-            _sorted_values(long, table, r, heads[cuts[r] : cuts[r + 1]])[1]
-        ))
+        values, repeats = _sorted_values(long, table, r, heads[cuts[r] : cuts[r + 1]])
+        return values.size - repeats.size
 
     found: list[int] = []
     largest_first = np.argsort(sizes)[::-1].tolist()
@@ -392,15 +384,15 @@ def count_sums(x: int, table: PrimeTable) -> CountReport:
     deduplicated by sorting the window values, 8 bytes each, so nothing
     per-object survives the pass. Past SPLIT_WINDOWS windows the sort runs
     per residue class mod 24 on as many threads as fit. Raises
-    ResourceLimitError when the values and masks held at once, on one
-    thread if split, would pass primes.MAX_SIEVE_BYTES.
+    ResourceLimitError when the values and repeat marks held at once, on
+    one thread if split, would pass primes.MAX_SIEVE_BYTES.
     """
     x = _covered(x, table)
     counts = _walk(x, table)
     total = sum(counts)
     if total < SPLIT_WINDOWS:
         _refuse_past_ceiling(total, 9 * total)
-        distinct = int(np.count_nonzero(_sorted_values(counts, table)[1]))
+        distinct = total - _sorted_values(counts, table)[1].size
     else:
         distinct = _distinct_by_class(counts, table)
     return CountReport(
@@ -435,51 +427,31 @@ def find_representations(target: int, table: PrimeTable) -> list[Representation]
     return [Representation(int(counts[i]), int(i) + 1, target) for i in hits]
 
 
-_PIECE = 1 << 16
-"""values_up_to compacts this many sorted values at a time; each piece's
-distinct values pass through a temporary of up to 8 bytes a value."""
-
-
 def values_up_to(x: int, table: PrimeTable) -> np.ndarray:
     """The distinct representable values <= x, ascending, as a read-only
-    uint64 array. Cutting the duplicates takes up to 17 bytes a window,
-    refused past primes.MAX_SIEVE_BYTES.
+    uint64 array: a prefix of the one value buffer, 9 bytes a window in
+    all, refused past primes.MAX_SIEVE_BYTES.
 
-    Past SPLIT_WINDOWS windows the one value buffer is partitioned in place
-    at _workers() - 1 evenly spaced ranks, so every value of a band is at
-    most every value of the next, and the bands are sorted and marked on
-    their own threads, then compacted in pieces. Below it there is one
-    band, on the calling thread.
+    Past SPLIT_WINDOWS windows the buffer is partitioned in place at
+    _workers() - 1 evenly spaced ranks into bands, each sorted on its own
+    thread; below it there is one band, on the calling thread.
     """
     counts = _walk(_covered(x, table), table)
     total = sum(counts)
-    _refuse_past_ceiling(total, 17 * total)
+    _refuse_past_ceiling(total, 9 * total)
     values = _window_values(counts, table)
     bands = _workers() if total >= SPLIT_WINDOWS else 1
     edges = [total * b // bands for b in range(bands + 1)]
     if bands > 1:
         values.partition(edges[1:-1])
-    fresh = np.empty(total, dtype=bool)
-
-    def mark(b: int) -> None:
-        band = slice(edges[b], edges[b + 1])
-        _mark_runs(values[band], fresh[band])
-
-    _thread_map(mark, range(bands), threads=bands)
-    # sorted bands make the whole buffer sorted; equal values straddling an
-    # edge are one compare apart
-    for lo in edges[1:-1]:
-        if 0 < lo < total:
-            fresh[lo] = values[lo] != values[lo - 1]
-    pieces = range(0, total, _PIECE)
-    offsets = np.cumsum([0, *(np.count_nonzero(fresh[a : a + _PIECE]) for a in pieces)]).tolist()
-    distinct = np.empty(offsets[-1], dtype=np.uint64)
-
-    def compact(k: int) -> None:
-        piece = slice(pieces[k], pieces[k] + _PIECE)
-        distinct[offsets[k] : offsets[k + 1]] = values[piece][fresh[piece]]
-
-    _thread_map(compact, range(len(pieces)), threads=bands)
+    _thread_map(lambda b: values[edges[b] : edges[b + 1]].sort(), range(bands))
+    # the buffer is now sorted; each run between repeats moves left past the
+    # repeats before it (numpy copies an overlapping 1-D slice in order,
+    # without a temporary)
+    ends = [*_repeats(values).tolist(), total]
+    for shift, (r, end) in enumerate(zip(ends, ends[1:]), 1):
+        values[r + 1 - shift : end - shift] = values[r + 1 : end]
+    distinct = values[: total + 1 - len(ends)]
     distinct.flags.writeable = False
     return distinct
 

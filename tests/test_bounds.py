@@ -13,6 +13,7 @@ from cpsq import (
     ApplicabilityError,
     DomainError,
     INFORMATIONAL_LABELS,
+    ResourceLimitError,
     TableRangeError,
     analytic_max_window,
     check_dusart,
@@ -31,6 +32,7 @@ from cpsq import (
     verify_count_bounds,
 )
 from cpsq.cli import main
+from cpsq.primes import MAX_LIMIT
 from cpsq.reports import FAIL, PASS
 from oracles import (
     reference_check_weighted_square,
@@ -96,6 +98,23 @@ def test_window_cap_takes_one_sieve_that_holds_m_primes(monkeypatch):
     assert ran == [13_571_461]
     (limit,) = ran
     assert (limit - 1) / math.log(limit - 1) < cap.analytic_m <= limit / math.log(limit)
+
+
+def test_window_cap_needing_primes_past_max_limit_is_refused(monkeypatch):
+    real = cpsq.bounds.sieve_primes
+    tried = []
+
+    def sieve(limit):
+        tried.append(limit)
+        return real(limit)
+
+    monkeypatch.setattr(cpsq.bounds, "sieve_primes", sieve)
+    for x in (10**27, MAX_LIMIT**3, MAX_LIMIT**3 + 1, 10**30, 10**300, 10**400):
+        with pytest.raises(ResourceLimitError):
+            analytic_max_window(x)
+    # up to MAX_LIMIT^3 the search finds L, which the sieve refuses; past
+    # it x is refused before any float or sieve
+    assert len(tried) == 2 and min(tried) > MAX_LIMIT
 
 
 @given(st.integers(min_value=2, max_value=10**7))

@@ -354,12 +354,14 @@ def test_multiplicity_mode_matches_count_sums(capsys, table_big, x):
     assert out == f"x={x} multiplicity={count_sums(x, table_big).multiplicity_count}\n"
 
 
-# every magnitude here is at most 10^6 or at least 10^30: small ones run at
-# once, huge ones must be refused by an estimate before any allocation
+# every magnitude here is at most 10^6 or from 10^30 to 10^5000: small ones
+# run at once, huge ones must be refused before any allocation, those past
+# int()'s 4300 digits with exit 2
 _NUMBER = st.one_of(
     st.integers(min_value=-(10**6), max_value=10**6).map(str),
-    st.integers(min_value=30, max_value=60).map(lambda k: f"1e{k}"),
-    st.integers(min_value=30, max_value=60).map(lambda k: f"10^{k}"),
+    st.integers(min_value=30, max_value=5000).map(lambda k: f"1e{k}"),
+    st.integers(min_value=30, max_value=5000).map(lambda k: f"10^{k}"),
+    st.integers(min_value=30, max_value=5000).map(lambda k: "1" + "0" * k),
     st.integers(min_value=0, max_value=6).map(lambda k: f"1e{k}"),
     st.integers(min_value=0, max_value=6).map(lambda k: f"10^{k}"),
 )
@@ -393,6 +395,14 @@ def test_every_argv_gets_one_exit_code_of_the_contract(argv):
         assert len(errors) == 1, err.getvalue()
 
 
+def cli_env(tmp_path):
+    """The environment for a ``python -m cpsq.cli`` child: this checkout's
+    package first on the path, and a cache of its own."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path, CPSQ_CACHE_DIR=str(tmp_path / "cache"))
+
+
 # every output passes any pipe buffer (5.5 MB, 180 kB, 16 MB and 17 MB),
 # so closing the pipe after one line leaves the command writing into a
 # closed stdout; list 5e10 dedups 1.4M windows in bands and renders its 22
@@ -408,12 +418,9 @@ def test_every_argv_gets_one_exit_code_of_the_contract(argv):
     ids=["list", "verify", "list-5e10", "list-5e10-json"],
 )
 def test_closed_stdout_ends_quietly_with_the_decided_code(argv, tmp_path):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path, CPSQ_CACHE_DIR=str(tmp_path / "cache"))
     proc = subprocess.Popen(
         [sys.executable, "-m", "cpsq.cli", *argv],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env(tmp_path),
     )
     assert proc.stdout.readline()
     proc.stdout.close()
@@ -422,3 +429,32 @@ def test_closed_stdout_ends_quietly_with_the_decided_code(argv, tmp_path):
     assert proc.wait(timeout=60) == 0, err
     for marker in ("Traceback", "BrokenPipeError", "Exception ignored"):
         assert marker not in err
+
+
+# x past a float's range (1.8e308), x whose window cap needs primes past
+# MAX_LIMIT, a shorthand too long to build in seconds, and an empty grid:
+# each is refused in well under the timeout, with one error line
+@pytest.mark.parametrize(
+    ("argv", "code"),
+    [
+        (["count", "1e700"], 3),
+        (["list", "1e700"], 3),
+        (["find", "1e700"], 3),
+        (["verify", "--grid", "1e700"], 3),
+        (["maxlen", "1e300"], 3),
+        (["maxlen", "1e400"], 3),
+        (["count", "9^9999999"], 2),
+        (["verify", "--grid", ","], 2),
+        (["verify", "--grid", ""], 2),
+    ],
+)
+def test_huge_and_empty_arguments_get_their_code_at_once(argv, code, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "cpsq.cli", *argv],
+        capture_output=True, text=True, env=cli_env(tmp_path), timeout=10,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert [line for line in proc.stderr.splitlines() if "error:" in line] == [
+        proc.stderr.splitlines()[-1]
+    ]

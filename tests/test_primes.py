@@ -181,9 +181,16 @@ def test_rosser_sweep_to_1229(table_small):
 # resource ceiling
 # ---------------------------------------------------------------------------
 
-def test_oversized_sieve_is_refused_before_allocating():
+def test_oversized_sieve_is_refused_before_allocating(monkeypatch):
+    # past MAX_LIMIT by the limit alone, which no float estimate precedes
+    for limit in (10**15, 10**700):
+        with pytest.raises(ResourceLimitError, match="above the supported"):
+            sieve_primes(limit)
+    # below it by the estimate, under a lowered ceiling: at MAX_LIMIT the
+    # estimate, 4.19e9 bytes, is just under the 4 GiB one
+    monkeypatch.setattr(cpsq.primes, "MAX_SIEVE_BYTES", 1 << 20)
     with pytest.raises(ResourceLimitError, match="bytes"):
-        sieve_primes(10**15)
+        sieve_primes(10**7)
 
 
 @pytest.mark.parametrize("limit", [10**6, 10**7])

@@ -100,20 +100,17 @@ def test_multiplicity_count_matches_count_sums(x, table_small):
 
 def test_dedup_refuses_past_the_byte_ceiling(table_small, monkeypatch):
     windows = count_sums(10**6, table_small).multiplicity_count
-    # 9 bytes a window to count, 17 to list; both refused before allocating
+    # 9 bytes a window to count and to list; both refused before allocating
     monkeypatch.setattr(cpsq.primes, "MAX_SIEVE_BYTES", 9 * windows - 1)
     with pytest.raises(ResourceLimitError, match=f"{windows} window values"):
         count_sums(10**6, table_small)
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError, match=f"{9 * windows} bytes"):
         values_up_to(10**6, table_small)
     assert multiplicity_count(10**6, table_small) == windows
     monkeypatch.setattr(cpsq.primes, "MAX_SIEVE_BYTES", 9 * windows)
-    assert count_sums(10**6, table_small).multiplicity_count == windows
-    with pytest.raises(ResourceLimitError, match=f"{17 * windows} bytes"):
-        values_up_to(10**6, table_small)
-    monkeypatch.setattr(cpsq.primes, "MAX_SIEVE_BYTES", 17 * windows)
-    distinct = count_sums(10**6, table_small).distinct_count
-    assert values_up_to(10**6, table_small).size == distinct
+    report = count_sums(10**6, table_small)
+    assert report.multiplicity_count == windows
+    assert values_up_to(10**6, table_small).size == report.distinct_count
 
 
 def test_find_named_targets(table_small):
@@ -520,16 +517,22 @@ def test_banded_values_with_more_bands_than_windows(table_small):
 
 
 def test_an_error_in_one_band_reaches_the_caller(table_small, monkeypatch):
-    real = cpsq.windows._mark_runs
+    real = cpsq.windows._window_values
     calls = []
 
-    def failing(values, fresh):
-        calls.append(1)
-        if len(calls) == 2:
-            raise MemoryError("band 2")
-        real(values, fresh)
+    class FailingSort(np.ndarray):
+        """A value buffer whose second band sort fails."""
 
-    monkeypatch.setattr(cpsq.windows, "_mark_runs", failing)
+        def sort(self, *args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise MemoryError("band 2")
+            super().sort(*args, **kwargs)
+
+    def failing(*args):
+        return real(*args).view(FailingSort)
+
+    monkeypatch.setattr(cpsq.windows, "_window_values", failing)
     before = threading.active_count()
     for workers in (2, 3):
         calls.clear()
@@ -551,15 +554,13 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
-def test_banded_values_keep_to_17_bytes_a_window(table_big, monkeypatch):
+def test_banded_values_keep_to_9_bytes_a_window(table_big, monkeypatch):
     report = count_sums(5 * 10**10, table_big)
     windows = report.multiplicity_count
     assert windows == 1_391_139 > cpsq.windows.SPLIT_WINDOWS
     for workers in (1, 2, 4):
         monkeypatch.setattr(cpsq.windows, "_workers", lambda: workers)
         peak, values = traced_peak(lambda: values_up_to(5 * 10**10, table_big))
-        # plus a compaction temporary of up to 8 bytes a value of a piece
-        # on each thread, and the walk's small arrays
-        allowance = 8 * cpsq.windows._PIECE * workers + (1 << 20)
-        assert peak <= 17 * windows + allowance, (workers, peak)
+        # plus the walk's small arrays
+        assert peak <= 9 * windows + (1 << 20), (workers, peak)
         assert values.size == report.distinct_count
