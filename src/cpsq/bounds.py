@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 from math import fsum, isqrt, log
 
-from .errors import ApplicabilityError, DomainError, ResourceLimitError
+from .errors import ApplicabilityError, DomainError, ResourceLimitError, brief
 from .primes import (
     DUSART_LOWER_MIN_N,
     MAX_LIMIT,
@@ -114,7 +114,7 @@ def _covering_table(x: int, table: PrimeTable | None) -> tuple[int, PrimeTable]:
         raise DomainError(f"window cap needs x >= 2, got {x}")
     if x > MAX_LIMIT**3:
         # L >= M ln M > x^(1/3) > MAX_LIMIT there, and float(x) may overflow
-        raise ResourceLimitError(f"the window cap at x={x} needs primes past {MAX_LIMIT}")
+        raise ResourceLimitError(f"the window cap at x={brief(x)} needs primes past {MAX_LIMIT}")
     need = math.floor(CAP_COEFF * float(x) ** (1 / 3) / log(x) ** (2 / 3))
     # L <- ceil(M ln L) climbs from below to the least such L
     limit = DUSART_LOWER_MIN_N

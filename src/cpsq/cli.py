@@ -17,6 +17,7 @@ output quietly: the command keeps the exit code it had already decided.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import re
@@ -30,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .bounds import INFORMATIONAL_LABELS, analytic_max_window, full_verification
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, brief
 from .primes import PrimeTable, load_table, save_table, sieve_primes
 from .reference import REFERENCE_LIMIT, REFERENCE_VALUES
 from .reports import FAIL
@@ -304,7 +305,7 @@ def run(config: CliConfig) -> int:
     try:
         x = config.x_or_target
         if x is not None and x < 1:
-            raise ValueError(f"{config.command} needs a positive integer, got {x}")
+            raise ValueError(f"{config.command} needs a positive integer, got {brief(x)}")
         code, write = _HANDLERS[config.command](config)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -323,6 +324,9 @@ def run(config: CliConfig) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        # what the imports built lives until exit; frozen, the collector skips it
+        gc.freeze()
     try:
         config = parse_args(argv)
     except SystemExit as exc:

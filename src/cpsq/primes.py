@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ResourceLimitError, TableRangeError
+from .errors import ResourceLimitError, TableRangeError, brief
 from .reports import PASS, BoundReport, compare_strict
 
 #: odd candidates per sieve segment, which keeps a segment's mask ~1 MiB
@@ -90,7 +90,7 @@ class PrimeTable:
 def _check_limit(limit: int) -> int:
     limit = int(limit)
     if limit > MAX_LIMIT:
-        raise ResourceLimitError(f"limit={limit} is above the supported {MAX_LIMIT}")
+        raise ResourceLimitError(f"limit={brief(limit)} is above the supported {MAX_LIMIT}")
     return limit
 
 

@@ -7,10 +7,11 @@ value is strictly increasing in n, so the windows with value <= x form a
 prefix n = 1..c_m, and the minimal value over n is S_m itself, which is
 strictly increasing in m. Those two monotonicities drive everything here:
 
-* the walk finds c_m for m = 1, 2, ... until c_m = 0; since c_m never
-  exceeds c_{m-1}, each c_m is searched among starts 1..c_{m-1}. It is
-  the one source of every c_m, so nothing here caps c_m by
-  pi(sqrt(x / m)) and bounds can check that cap against it;
+* the walk finds c_m for every m with S_m <= x in blocks of lengths: c_m
+  never exceeds c_{m-1}, so a block m0..m1 is one bisection over starts
+  1..c_{m0-1}, vectorized over its lengths. It is the one source of every
+  c_m, so nothing here caps c_m by pi(sqrt(x / m)) and bounds can check
+  that cap against it;
 * counting never materializes the representations: the window values, one
   uint64 each, are sorted and their repeats found (_repeats); the number of
   windows alone needs no values at all, only the walk;
@@ -44,7 +45,7 @@ from typing import Callable, Iterator, Sequence, TypeVar
 import numpy as np
 
 from . import primes
-from .errors import ResourceLimitError, TableRangeError
+from .errors import ResourceLimitError, TableRangeError, brief
 from .primes import PrimeTable
 
 __all__ = [
@@ -94,52 +95,59 @@ def _covered(x: int, table: PrimeTable, name: str = "x") -> int:
     need = isqrt(x)
     if table.limit < need:
         raise TableRangeError(
-            f"table limit {table.limit} is below floor(sqrt({x})) = {need}; "
-            f"sieve to at least {need} first"
+            f"table limit {table.limit} is below floor(sqrt({brief(x)})) = "
+            f"{brief(need)}; sieve to at least {brief(need)} first"
         )
     return x
 
 
-def _last_start(x: int, m: int, hi: int, table: PrimeTable) -> int:
-    """The largest n <= hi with window (n, m) <= x, or 0 if there is none.
-
-    Gallops down from hi, where the walk's answers tend to sit, then
-    bisects. Exact only when every window (n, m) with n <= hi is below
-    2^64; _walk says why its calls keep to that.
-    """
-    item = table.square_prefix.item
-
-    def fits(n: int) -> bool:
-        return (item(n + m - 1) - item(n - 1)) % (1 << 64) <= x
-
-    lo, step = hi, 1
-    while lo > 0 and not fits(lo):
-        hi = lo - 1
-        lo = max(hi - step, 0)
-        step *= 2
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if fits(mid):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+def _longest(x: int, table: PrimeTable) -> int:
+    """The largest m <= len(table) with S_m <= x, from the exact prefix sums:
+    S_m >= p_m^2, so only the sums to S_{pi(sqrt(x))} are searched."""
+    c = int(table.primes.searchsorted(min(isqrt(x), table.limit), "right"))
+    sp = table.square_prefix[: c + 1]
+    # the true S_k is 2^64 W_k + sp[k], where W_k counts the wraps
+    # sp[j] < sp[j-1] at j <= k; sp rises between wraps
+    wraps = np.flatnonzero(sp[1:] < sp[:-1]) + 1
+    quotient, rest = divmod(x, 1 << 64)
+    if quotient > wraps.size:
+        return c
+    lo = int(wraps[quotient - 1]) if quotient else 0
+    hi = int(wraps[quotient]) if quotient < wraps.size else sp.size
+    return lo + int(np.searchsorted(sp[lo:hi], np.uint64(rest), side="right")) - 1
 
 
 def _walk(x: int, table: PrimeTable) -> list[int]:
-    """c_m at index m - 1 for every length m with a window of value <= x.
+    """c_m at index m - 1 for every length m up to _longest(x).
 
-    c_m is searched among starts 1..c_{m-1}. Such a window (n, m) is one of
-    value <= x plus one prime <= limit, which PrimeTable's limit cap keeps
-    below 2^64 for every x the table covers.
+    A block of lengths m0..m1 bisects starts 1..c, c = c_{m0-1} (c_0 =
+    pi(sqrt(x))). Its probe (n, m) is the window (n, m0 - 1) <= x plus
+    m - m0 + 1 squares <= p_{c+m-1}^2, so a block whose squares fit in
+    2^64 - 1 - x has exact uint64 differences. PrimeTable's limit cap keeps
+    x + limit^2 below 2^64, so every block holds at least one length.
     """
+    sp = table.square_prefix
     k = len(table)
+    lengths = _longest(x, table)
+    room = np.uint64((1 << 64) - 1 - x)
     counts: list[int] = []
-    c = int(np.searchsorted(table.primes, isqrt(x), side="right"))
-    while c > 0:
-        counts.append(c)
-        m = len(counts) + 1
-        c = _last_start(x, m, min(c, k - m + 1), table)
+    c = int(table.primes.searchsorted(isqrt(x), "right"))
+    while len(counts) < lengths:
+        m = np.arange(len(counts) + 1, lengths + 1)
+        squares = table.primes[np.minimum(c + m, k + 1) - 2] ** 2  # p_{c+m-1}^2, or p_K^2
+        fits = squares.view(np.uint64) <= room // np.arange(1, m.size + 1, dtype=np.uint64)
+        m = m[: np.count_nonzero(fits)]  # a prefix: squares rise, room // i falls
+        hi = np.minimum(c, k + 1 - m)
+        n = np.zeros(m.size, dtype=np.int64)
+        # n climbs to the last start <= hi whose window is <= x; a probe
+        # clamped to hi that fits is that start
+        step = 1 << (c.bit_length() - 1)
+        while step:
+            probe = np.minimum(n + step, hi)
+            n = np.where(sp[probe + m - 1] - sp[probe - 1] <= np.uint64(x), probe, n)
+            step >>= 1
+        counts += n.tolist()
+        c = counts[-1]
     return counts
 
 
@@ -466,19 +474,11 @@ def max_window_length(x: int, table: PrimeTable) -> int:
     x = int(x)
     if x < 1:
         raise ValueError(f"x must be a positive integer, got {x}")
-    sp = table.square_prefix
-    # the true S_k is 2^64 W_k + sp[k], where W_k counts the wraps
-    # sp[j] < sp[j-1] at j <= k; sp rises between wraps
-    wraps = np.flatnonzero(sp[1:] < sp[:-1]) + 1
-    quotient, rest = divmod(x, 1 << 64)
-    if quotient <= wraps.size:
-        lo = int(wraps[quotient - 1]) if quotient else 0
-        hi = int(wraps[quotient]) if quotient < wraps.size else sp.size
-        m = lo + int(np.searchsorted(sp[lo:hi], np.uint64(rest), side="right")) - 1
-        if m < len(table):
-            return m
+    m = _longest(x, table)
+    if m < len(table):
+        return m
     raise TableRangeError(
         f"prefix sums of this table end at S_{len(table)} = "
-        f"{table.prefix_sum(len(table))} <= {x}; "
+        f"{table.prefix_sum(len(table))} <= {brief(x)}; "
         f"a longer table is needed to bracket the maximal window"
     )

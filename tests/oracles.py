@@ -70,6 +70,43 @@ def oracle_distinct_values(x: int) -> list[int]:
     return sorted({value for _, _, value in oracle_windows(x)})
 
 
+def reference_walk(x: int, table) -> list[int]:
+    """c_m for m = 1, 2, ... until c_m = 0, one length at a time: each c_m
+    gallops down from c_{m-1} over the table's prefix sums, then bisects.
+
+    A probe (n, m) with n <= c_{m-1} is a window of value <= x plus one
+    prime <= limit, below 2^64 for every x the table covers, so each
+    uint64 difference is exact.
+    """
+    item = table.square_prefix.item
+    k = len(table)
+
+    def last_start(m: int, hi: int) -> int:
+        def fits(n: int) -> bool:
+            return (item(n + m - 1) - item(n - 1)) % (1 << 64) <= x
+
+        lo, step = hi, 1
+        while lo > 0 and not fits(lo):
+            hi = lo - 1
+            lo = max(hi - step, 0)
+            step *= 2
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if fits(mid):
+                lo = mid
+            else:
+                hi = mid - 1
+        return lo
+
+    counts: list[int] = []
+    c = int(table.primes.searchsorted(isqrt(x), "right"))
+    while c > 0:
+        counts.append(c)
+        m = len(counts) + 1
+        c = last_start(m, min(c, k - m + 1))
+    return counts
+
+
 def printed_values(values: list[int], fmt: str) -> str:
     """A value list as one print per value (text; csv under a ``value``
     header) or one print of json.dumps (json)."""

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior, run in-process through cpsq.cli.main."""
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -433,7 +434,8 @@ def test_closed_stdout_ends_quietly_with_the_decided_code(argv, tmp_path):
 
 # x past a float's range (1.8e308), x whose window cap needs primes past
 # MAX_LIMIT, a shorthand too long to build in seconds, and an empty grid:
-# each is refused in well under the timeout, with one error line
+# each is refused in well under the timeout, with one short error line that
+# gives a huge number as its digit count
 @pytest.mark.parametrize(
     ("argv", "code"),
     [
@@ -446,6 +448,8 @@ def test_closed_stdout_ends_quietly_with_the_decided_code(argv, tmp_path):
         (["count", "9^9999999"], 2),
         (["verify", "--grid", ","], 2),
         (["verify", "--grid", ""], 2),
+        (["count", "10^4299"], 3),
+        (["maxlen", "10^4299"], 3),
     ],
 )
 def test_huge_and_empty_arguments_get_their_code_at_once(argv, code, tmp_path):
@@ -458,3 +462,37 @@ def test_huge_and_empty_arguments_get_their_code_at_once(argv, code, tmp_path):
     assert [line for line in proc.stderr.splitlines() if "error:" in line] == [
         proc.stderr.splitlines()[-1]
     ]
+    assert len(proc.stderr.splitlines()[-1]) < 200
+
+
+
+def test_only_the_process_entry_freezes_the_import_heap(capsys, monkeypatch):
+    frozen = []
+    monkeypatch.setattr(gc, "freeze", lambda: frozen.append(True))
+    monkeypatch.setattr(sys, "argv", ["cpsq", "count", "1000"])
+    assert main() == 0
+    assert frozen == [True]
+    assert main(["count", "1000"]) == 0
+    assert frozen == [True]
+    capsys.readouterr()
+
+
+def test_importing_the_package_freezes_nothing(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", "import gc, cpsq, cpsq.cli; print(gc.get_freeze_count())"],
+        capture_output=True, text=True, env=cli_env(tmp_path), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
+
+
+def test_the_module_entry_prints_what_main_prints(capsys, tmp_path):
+    argv = ["count", "1000000000000", "--format", "json"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    proc = subprocess.run(
+        [sys.executable, "-m", "cpsq.cli", *argv],
+        capture_output=True, env=cli_env(tmp_path), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected.encode()

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cpsq.primes
@@ -29,7 +29,7 @@ from cpsq import (
     sieve_primes,
     values_up_to,
 )
-from oracles import oracle_distinct_values, oracle_windows
+from oracles import oracle_distinct_values, oracle_windows, reference_walk
 
 
 def as_tuples(reps):
@@ -125,6 +125,13 @@ def test_find_resolves_to_real_primes(table_small):
     run = table_small.primes[rep.start_index - 1 : rep.start_index - 1 + rep.length]
     assert list(run) == [17, 19, 23, 29]
     assert sum(int(p) ** 2 for p in run) == 2020
+
+
+@given(st.integers(min_value=1, max_value=10**12))
+@example(10**12)
+@example(10**12 - 1)
+def test_count_windows_equals_the_sequential_walk(table_big, x):
+    assert count_windows(x, table_big) == reference_walk(x, table_big)
 
 
 def test_max_window_length(table_small):

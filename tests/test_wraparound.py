@@ -11,6 +11,8 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cpsq import (
     PrimeTable,
@@ -20,6 +22,7 @@ from cpsq import (
     sieve_primes,
 )
 from cpsq.primes import MAX_LIMIT
+from oracles import reference_walk
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +83,15 @@ def test_count_windows_at_1e14(wrapped):
         assert got == last_start(exact, x, m), f"m={m}"
 
 
+@given(st.integers(min_value=1, max_value=10**14))
+@example(10**14)
+@example(10**14 - 1)
+@settings(max_examples=40)
+def test_count_windows_equals_the_sequential_walk_to_1e14(wrapped, x):
+    table, _ = wrapped
+    assert count_windows(x, table) == reference_walk(x, table)
+
+
 def test_max_window_length_past_the_wrap(wrapped):
     table, exact = wrapped
     assert max_window_length(10**19, table) == 524136
@@ -100,3 +112,20 @@ def test_count_windows_falls_back_to_the_walk():
     counts = count_windows(x, table)
     assert counts == expected[: len(counts)]
     assert not any(expected[len(counts) :])
+
+
+def test_count_windows_ends_a_block_before_its_probes_wrap():
+    # not primes: the walk at x goes in two blocks of two lengths, because
+    # room // 3 = (2^64 - 1 - x) // 3 < 2.5e9^2 <= room // 2; one block
+    # would probe the length-4 window from the 4th value, whose sum passes
+    # 2^64 and wraps to 1.65e18 <= x
+    values = [25 * 10**7, 61 * 10**7, 93 * 10**7, 189 * 10**7, 202 * 10**7, 249 * 10**7, 25 * 10**8]
+    table = PrimeTable(MAX_LIMIT, np.array(values))
+    exact = [0, *accumulate(v * v for v in values)]
+    x = 5 * 10**18
+    room = (1 << 64) - 1 - x
+    assert room // 3 < values[-1] ** 2 <= room // 2
+    assert exact[7] - exact[3] > 1 << 64 and exact[7] - exact[3] - (1 << 64) <= x
+    expected = [last_start(exact, x, m) for m in range(1, 8)]
+    assert expected == [5, 3, 2, 1, 0, 0, 0]
+    assert count_windows(x, table) == expected[:4]
