@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import re
 import sys
@@ -58,6 +57,12 @@ class CliConfig:
     grid: tuple[int, ...] | None = None
 
 
+def _named(text: str) -> str:
+    """An argument for an error line: quoted, or past 30 characters the
+    count of them, as errors.brief gives a huge number."""
+    return repr(text) if len(text) <= 30 else f"<{len(text)} characters>"
+
+
 def _integer_arg(text: str) -> int:
     """Plain integers plus the 10^12 / 1e12 shorthands people type, with no
     more digits than int() reads (its default limit where that is off)."""
@@ -67,12 +72,12 @@ def _integer_arg(text: str) -> int:
         pass
     m = re.fullmatch(r"(\d+)([\^e])(\d+)", text)
     if not m:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+        raise argparse.ArgumentTypeError(f"not an integer: {_named(text)}")
     base, power, is_power = int(m[1]), int(m[3]), m[2] == "^"
     # the value's log10, known before the value, which can take minutes to build
     most = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     if base and (power * log10(base) if is_power else power + log10(base)) >= most:
-        raise argparse.ArgumentTypeError(f"{text!r} has more than {most} digits")
+        raise argparse.ArgumentTypeError(f"{_named(text)} has more than {most} digits")
     return base**power if is_power else base * 10**power
 
 
@@ -83,7 +88,7 @@ def _grid_arg(text: str) -> tuple[int, ...]:
         grid = ()
     if not grid:
         raise argparse.ArgumentTypeError(
-            f"grid must be comma-separated integers, got {text!r}"
+            f"grid must be comma-separated integers, got {_named(text)}"
         )
     return grid
 
@@ -265,6 +270,8 @@ def _cmd_table_check(config: CliConfig) -> _Outcome:
     expected = REFERENCE_VALUES
     passed = bool(np.array_equal(computed, expected))
     if config.format == "json":
+        import json  # here, so that the other commands never load it
+
         text = json.dumps(
             {
                 "passed": passed,

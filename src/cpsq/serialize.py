@@ -9,14 +9,17 @@ in declaration order and mappings keep their (ascending) insertion order.
 Value lists (``write_values``) skip the per-value Python objects: a sorted
 uint64 array is turned into ASCII bytes by numpy, 2^16 values at a time,
 storing each 4-digit group straight into its place in the output, on up to
-one thread per CPU, and written chunk by chunk in order.
+one thread per CPU with scratch reused from chunk to chunk, and written
+chunk by chunk in order: as bytes to the stream's binary layer, from output
+buffers reused once written, where that writes what the text layer would;
+else as text.
 """
 
 from __future__ import annotations
 
-import csv
 import io
-import json
+import os
+import threading
 from dataclasses import fields, is_dataclass
 from typing import Any, Iterable, Sequence, TextIO
 
@@ -111,10 +114,14 @@ def _cell(value: Any) -> str:
 
 
 def to_json(records: Iterable[Record]) -> str:
+    import json  # here, so that listing and counting never load it
+
     return json.dumps([record_to_dict(r) for r in records], indent=2)
 
 
 def to_csv(records: Sequence[Record]) -> str:
+    import csv  # here, so that listing and counting never load it
+
     if not records:
         return ""
     first = type(records[0])
@@ -186,14 +193,22 @@ def _column(out: np.ndarray, at: int, row: int, n: int) -> np.ndarray:
     return np.ndarray((n,), np.uint32, out, at, (row,))
 
 
-def _render_values(chunk: np.ndarray, sep: bytes) -> np.ndarray:
-    """ASCII bytes of a nonempty sorted uint64 chunk, each value then ``sep``.
+def _render_values(
+    chunk: np.ndarray,
+    sep: bytes,
+    out: np.ndarray | None = None,
+    scratch: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
+    """ASCII bytes of a nonempty sorted uint64 chunk, each value then ``sep``:
+    a prefix of the uint8 array ``out`` if it is long enough, else of a
+    fresh one. ``scratch`` (fresh if None) is a uint64 array of two rows and
+    a uint32 array, each row at least ``chunk.size`` long: 20 bytes a value.
 
     The values of w digits are one run of rows w + len(sep) bytes long,
-    filled a column at a time with no copy between: first the leading group
-    of 1-4 digits, stored as 4 bytes with zeros after its digits; then the
-    4-digit groups, right to left, the first of which overwrites those
-    zeros; then the separator, over any zeros past the digits. Rows shorter
+    filled a column at a time with no copy between: the 4-digit groups,
+    right to left, then the separator, over any zeros past the digits. The
+    leading group of 1-4 digits is stored as 4 bytes with zeros after its
+    digits, just before the group that overwrites those zeros. Rows shorter
     than 4 bytes (values below 100) would overlap, so their leading group is
     copied bytewise instead.
     """
@@ -201,29 +216,74 @@ def _render_values(chunk: np.ndarray, sep: bytes) -> np.ndarray:
     # sorted values: those of w digits are one run, cut at the powers of 10
     cuts = [0, *np.searchsorted(chunk, _POW10[: top - 1]).tolist(), chunk.size]
     runs = [(w, lo, hi) for w, (lo, hi) in enumerate(zip(cuts, cuts[1:]), 1) if lo < hi]
-    out = np.empty(sum((hi - lo) * (w + len(sep)) for w, lo, hi in runs), dtype=np.uint8)
+    size = sum((hi - lo) * (w + len(sep)) for w, lo, hi in runs)
+    if out is None or out.size < size:
+        out = np.empty(size, dtype=np.uint8)
+    if scratch is None:
+        scratch = np.empty((2, chunk.size), dtype=np.uint64), np.empty(chunk.size, np.uint32)
     pos = 0
     for w, lo, hi in runs:
         n, row, lead = hi - lo, w + len(sep), (w - 1) % 4 + 1
         rows = out[pos : pos + n * row]
+        a, b, group = scratch[0][0, :n], scratch[0][1, :n], scratch[1][:n]
+
+        def store(at: int, table: np.ndarray, index: np.ndarray) -> None:
+            # indices below 10^4 read the same as int64, which take needs;
+            # "clip" takes into ``group`` without a buffer of its own
+            table.take(index.view(np.int64), out=group, mode="clip")
+            if row >= 4:
+                _column(out, pos + at, row, n)[...] = group
+            else:
+                rows.reshape(n, row)[:, :w] = group.view(np.uint8).reshape(n, 4)[:, :w]
+
         rest = chunk[lo:hi]
-        # indices below 10^4 read the same as int64, which take needs
-        index = rest // _POW10[w - lead - 1] if w > lead else rest
-        high = _LEADS[lead].take(index.view(np.int64))
-        if row >= 4:
-            _column(out, pos, row, n)[...] = high
-        else:
-            rows.reshape(n, row)[:, :w] = high.view(np.uint8).reshape(n, 4)[:, :w]
+        if w == lead:
+            store(0, _LEADS[lead], rest)
         for at in range(w - 4, lead - 1, -4):
-            quotient = rest // _GROUP_BASE
-            low = quotient * _GROUP_BASE
-            np.subtract(rest, low, out=low)  # in place: one chunk-sized array fewer
-            _column(out, pos + at, row, n)[...] = _GROUPS.take(low.view(np.int64))
+            # q = rest // 10^4 and rest - 10^4 q, from floor division, which
+            # numpy does by multiplying (divmod is several times slower): q
+            # into the row that rest is not in, and the remainder into the
+            # other, which is rest's own from the second group on; then
+            # 10^4 q goes through q's row, and q is divided back out
+            quotient, low = (b, a) if rest is a else (a, b)
+            np.floor_divide(rest, _GROUP_BASE, out=quotient)
+            if low is rest:
+                np.multiply(quotient, _GROUP_BASE, out=quotient)
+                np.subtract(rest, quotient, out=low)
+                np.floor_divide(quotient, _GROUP_BASE, out=quotient)
+            else:
+                np.multiply(quotient, _GROUP_BASE, out=low)
+                np.subtract(rest, low, out=low)
+            if at == lead:
+                store(0, _LEADS[lead], quotient)
+            store(at, _GROUPS, low)
             rest = quotient
         for k, byte in enumerate(sep):
             rows[w + k :: row] = byte
         pos += rows.size
-    return out
+    return out[:size]
+
+
+#: every ASCII character, to tell an ASCII-compatible encoding
+_ASCII = bytes(range(128))
+
+
+def _byte_layer(stream: TextIO) -> io.BufferedIOBase | None:
+    """The binary layer under ``stream`` when ASCII bytes written there are
+    the bytes the text layer would write: an ASCII-compatible encoding, and
+    no newline translation beyond os.linesep, which must be "\n"; else
+    None. A stream without a ``buffer`` or an ``encoding`` has none. A text
+    layer does not show a ``newline=`` of its own, so one made with, say,
+    newline="\r\n" gets "\n" here where its own writes would give "\r\n"."""
+    raw = getattr(stream, "buffer", None)
+    encoding = getattr(stream, "encoding", None)
+    if raw is None or not isinstance(encoding, str) or os.linesep != "\n":
+        return None
+    try:
+        same = _ASCII.decode("ascii").encode(encoding) == _ASCII
+    except (LookupError, UnicodeError):
+        return None
+    return raw if same else None
 
 
 def write_values(values: np.ndarray, fmt: str, stream: TextIO) -> None:
@@ -235,18 +295,52 @@ def write_values(values: np.ndarray, fmt: str, stream: TextIO) -> None:
     rendered chunks a thread ahead of the writing, and written in order by
     the calling thread, one ``write`` a chunk; no Python object is made per
     value.
+
+    Each thread renders into scratch of its own, 20 bytes a value. Where
+    _byte_layer finds a binary layer, the text layer is flushed and every
+    byte goes to the binary layer, each chunk rendered into a buffer that an
+    earlier chunk was written from, so the buffers number at most the chunks
+    in flight; else each chunk is rendered into a fresh buffer and written
+    as a ``str``, which the buffer does not outlive.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
     values = np.asarray(values, dtype=np.uint64)
     head, sep, tail = _VALUE_LAYOUT[fmt]
+    raw = _byte_layer(stream)
+    local = threading.local()
+    free: list[np.ndarray] = []  # output buffers written to the binary layer
 
-    def render(start: int) -> str:
-        text = _render_values(values[start : start + VALUE_CHUNK], sep)
+    def spare() -> np.ndarray | None:
+        """An output buffer already written out, if one is free."""
+        try:
+            return free.pop()
+        except IndexError:
+            return None
+
+    def render(start: int) -> np.ndarray | str:
+        if not hasattr(local, "scratch"):
+            local.scratch = (
+                np.empty((2, VALUE_CHUNK), dtype=np.uint64),
+                np.empty(VALUE_CHUNK, dtype=np.uint32),
+            )
+        # the spare buffer has no name here, so one too short for this chunk
+        # is freed as soon as _render_values replaces it
+        text = _render_values(values[start : start + VALUE_CHUNK], sep, spare(), local.scratch)
         if fmt == "json" and start + VALUE_CHUNK >= values.size:
             text = text[: -len(sep)]  # json's ", " goes between values only
-        return str(text, "ascii")
+        return text if raw is not None else str(text, "ascii")
 
-    stream.write(head)
-    _thread_map(render, range(0, values.size, VALUE_CHUNK), stream.write)
-    stream.write(tail)
+    def put(text: np.ndarray) -> None:
+        raw.write(text)
+        free.append(text.base)  # the whole buffer the bytes are a prefix of
+
+    if raw is None:
+        stream.write(head)
+        _thread_map(render, range(0, values.size, VALUE_CHUNK), stream.write)
+        stream.write(tail)
+    else:
+        stream.flush()  # what the text layer holds goes first
+        raw.write(head.encode("ascii"))
+        _thread_map(render, range(0, values.size, VALUE_CHUNK), put)
+        raw.write(tail.encode("ascii"))

@@ -13,8 +13,9 @@ strictly increasing in m. Those two monotonicities drive everything here:
   c_m, so nothing here caps c_m by pi(sqrt(x / m)) and bounds can check
   that cap against it;
 * counting never materializes the representations: the window values, one
-  uint64 each, are sorted and their repeats found (_repeats); the number of
-  windows alone needs no values at all, only the walk;
+  uint64 each, are sorted (_sort, through their float64 view, checked as
+  integers) and their repeats counted; the number of windows alone needs no
+  values at all, only the walk;
 * past SPLIT_WINDOWS windows, count_sums dedups 24 residue classes apart,
   on a few threads: p^2 = 1 (mod 24) for every prime p >= 5, so a window
   (n, m) with n >= 3 has value = m (mod 24) and equal values share a class
@@ -23,7 +24,8 @@ strictly increasing in m. Those two monotonicities drive everything here:
 * values_up_to needs one ascending array instead: past SPLIT_WINDOWS it
   partitions its one value buffer in place at evenly spaced ranks into
   bands, every value of a band at most every value of the next, sorts the
-  bands on a few threads and closes up the repeats inside the buffer.
+  bands and finds their repeats on a few threads, and closes up the
+  repeats inside the buffer.
 
 Prefix sums are held mod 2^64, so a difference is a window's true value
 only below 2^64; the walk states why its probes stay there.
@@ -277,6 +279,7 @@ def _thread_map(
                 run(j)
             if consume is not None:
                 consume(result)
+            del result  # not held while the next result is awaited or made
     finally:
         with cond:
             closed = True
@@ -327,6 +330,34 @@ def _window_values(
     return values
 
 
+#: the least uint64 whose float64 view is not finite: inf, then the NaNs,
+#: which numpy's sort may rewrite as one canonical NaN
+_NOT_FINITE = np.uint64(0x7FF0000000000000)
+
+#: the least positive double, a denormal: it compares as 0 where the FPU
+#: treats denormals as zero, and such an FPU may zero them while sorting
+_LEAST_DOUBLE = np.uint64(1).view(np.float64)
+
+
+def _sort_as_doubles(values: np.ndarray) -> None:
+    """Sort uint64 ``values`` in place through their float64 view, which
+    numpy sorts faster: finite non-negative doubles order as their bit
+    patterns do."""
+    values.view(np.float64).sort()
+
+
+def _sort(values: np.ndarray) -> None:
+    """Sort uint64 ``values`` in place: as doubles when every value is below
+    _NOT_FINITE and this thread's FPU compares denormals (the patterns below
+    2^52) as themselves, then checked ascending as integers; as integers
+    otherwise, or if that check fails. One bool a value while checked."""
+    if values.size and values.max() < _NOT_FINITE and _LEAST_DOUBLE > 0:
+        _sort_as_doubles(values)
+        if not (values[1:] < values[:-1]).any():
+            return
+    values.sort()
+
+
 def _repeats(values: np.ndarray) -> np.ndarray:
     """The indices of the sorted ``values`` that equal the value before
     them, ascending: one bool a value while they are found."""
@@ -338,11 +369,12 @@ def _sorted_values(
     table: PrimeTable,
     residue: int | None = None,
     heads: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """_window_values sorted, and its _repeats: 9 bytes a window."""
+) -> tuple[np.ndarray, int]:
+    """_window_values sorted, and how many of them equal the value before
+    them: 9 bytes a window."""
     values = _window_values(counts, table, residue, heads)
-    values.sort()
-    return values, _repeats(values)
+    _sort(values)
+    return values, int(np.count_nonzero(values[1:] == values[:-1]))
 
 
 def _distinct_by_class(counts: list[int], table: PrimeTable) -> int:
@@ -377,7 +409,7 @@ def _distinct_by_class(counts: list[int], table: PrimeTable) -> int:
 
     def distinct(r: int) -> int:
         values, repeats = _sorted_values(long, table, r, heads[cuts[r] : cuts[r + 1]])
-        return values.size - repeats.size
+        return values.size - repeats
 
     found: list[int] = []
     largest_first = np.argsort(sizes)[::-1].tolist()
@@ -400,7 +432,7 @@ def count_sums(x: int, table: PrimeTable) -> CountReport:
     total = sum(counts)
     if total < SPLIT_WINDOWS:
         _refuse_past_ceiling(total, 9 * total)
-        distinct = total - _sorted_values(counts, table)[1].size
+        distinct = total - _sorted_values(counts, table)[1]
     else:
         distinct = _distinct_by_class(counts, table)
     return CountReport(
@@ -441,8 +473,9 @@ def values_up_to(x: int, table: PrimeTable) -> np.ndarray:
     all, refused past primes.MAX_SIEVE_BYTES.
 
     Past SPLIT_WINDOWS windows the buffer is partitioned in place at
-    _workers() - 1 evenly spaced ranks into bands, each sorted on its own
-    thread; below it there is one band, on the calling thread.
+    _workers() - 1 evenly spaced ranks into bands, each sorted and searched
+    for repeats on its own thread; below it there is one band, on the
+    calling thread.
     """
     counts = _walk(_covered(x, table), table)
     total = sum(counts)
@@ -452,11 +485,21 @@ def values_up_to(x: int, table: PrimeTable) -> np.ndarray:
     edges = [total * b // bands for b in range(bands + 1)]
     if bands > 1:
         values.partition(edges[1:-1])
-    _thread_map(lambda b: values[edges[b] : edges[b + 1]].sort(), range(bands))
-    # the buffer is now sorted; each run between repeats moves left past the
-    # repeats before it (numpy copies an overlapping 1-D slice in order,
+
+    def band(b: int) -> list[int]:
+        """Sort band b; the indices in it of its repeats."""
+        lo, hi = edges[b], edges[b + 1]
+        _sort(values[lo:hi])
+        return (_repeats(values[lo:hi]) + lo).tolist()
+
+    repeats: list[int] = []
+    _thread_map(band, range(bands), repeats.extend)
+    # the buffer is now sorted, and a band's first value can repeat only the
+    # last of the band before; then each run between repeats moves left past
+    # the repeats before it (numpy copies an overlapping 1-D slice in order,
     # without a temporary)
-    ends = [*_repeats(values).tolist(), total]
+    repeats += [e for e in set(edges[1:-1]) if 0 < e < total and values[e - 1] == values[e]]
+    ends = [*sorted(repeats), total]
     for shift, (r, end) in enumerate(zip(ends, ends[1:]), 1):
         values[r + 1 - shift : end - shift] = values[r + 1 : end]
     distinct = values[: total + 1 - len(ends)]

@@ -450,6 +450,7 @@ def test_closed_stdout_ends_quietly_with_the_decided_code(argv, tmp_path):
         (["verify", "--grid", ""], 2),
         (["count", "10^4299"], 3),
         (["maxlen", "10^4299"], 3),
+        (["count", "1" + "0" * 5000], 2),
     ],
 )
 def test_huge_and_empty_arguments_get_their_code_at_once(argv, code, tmp_path):
@@ -484,6 +485,31 @@ def test_importing_the_package_freezes_nothing(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0\n"
+
+
+def test_list_and_count_load_no_json_or_csv(tmp_path):
+    # only the commands that print json or csv import those modules
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from cpsq.cli import main\n"
+        "assert main(['list', '5000']) == 0\n"
+        "assert main(['count', '10000000', '--format', 'text']) == 0\n"
+        "print(sorted({'json', 'csv'} & (set(sys.modules) - before)), file=sys.stderr)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=cli_env(tmp_path), timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "[]\n"
+
+
+def test_a_long_unreadable_argument_is_named_by_its_length(capsys):
+    for argv in (["count", "1" * 40 + "x"], ["verify", "--grid", "1," * 20 + "x"]):
+        assert main(argv) == 2
+        assert "<41 characters>" in capsys.readouterr().err
+    assert main(["count", "12x"]) == 2
+    assert "not an integer: '12x'" in capsys.readouterr().err
 
 
 def test_the_module_entry_prints_what_main_prints(capsys, tmp_path):

@@ -263,7 +263,7 @@ def test_write_values_in_order_on_more_threads_than_cpus(fmt, monkeypatch):
 def test_an_error_in_one_render_reaches_the_caller(monkeypatch):
     real = cpsq.serialize._render_values
 
-    def failing(chunk, sep):
+    def failing(chunk, sep, *scratch):
         if chunk[0] == 3 * VALUE_CHUNK + 1:
             raise MemoryError("chunk 3")
         return real(chunk, sep)
@@ -324,3 +324,115 @@ def test_write_values_holds_a_bounded_number_of_rendered_chunks(monkeypatch):
     # bytes a value, and its bytes before they become the text
     scratch = 20 * VALUE_CHUNK + chunk_text
     assert peak <= (2 * workers + 2) * chunk_text + workers * scratch, peak
+
+
+# ---------------------------------------------------------------------------
+# the byte path: a stream whose binary layer takes the ASCII bytes
+# ---------------------------------------------------------------------------
+
+class Recorded(io.BytesIO):
+    """A binary layer that keeps the type of everything written to it."""
+
+    def __init__(self):
+        super().__init__()
+        self.kinds = set()
+
+    def write(self, data):
+        self.kinds.add(type(data))
+        return super().write(data)
+
+
+def written_bytes(values, fmt, encoding):
+    raw = Recorded()
+    stream = io.TextIOWrapper(raw, encoding=encoding)
+    write_values(np.array(values, dtype=np.uint64), fmt, stream)
+    stream.flush()
+    return raw.getvalue(), np.ndarray in raw.kinds
+
+
+byte_path_cases = [
+    [],
+    [4],
+    [0, 4, 9, 13, 25, 34, 38, 49, 50, 74, 83, 87, 99, 100, 101],
+    list(range(1, VALUE_CHUNK + 1)),
+    list(range(1, VALUE_CHUNK + 2)),
+    [10**k + d for k in range(20) for d in (-1, 0) if 10**k + d >= 0] + [2**64 - 1],
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("values", byte_path_cases, ids=lambda v: f"{len(v)}-values")
+def test_the_byte_path_writes_the_bytes_of_the_str_path(values, fmt):
+    text = written_values(values, fmt)
+    for encoding in ("ascii", "utf-8", "latin-1"):
+        data, as_bytes = written_bytes(values, fmt, encoding)
+        assert data == text.encode("ascii")
+        assert as_bytes == bool(values)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_an_encoding_other_than_ascii_takes_the_str_path(fmt):
+    values = list(range(1, VALUE_CHUNK + 2))
+    data, as_bytes = written_bytes(values, fmt, "utf-16")
+    assert not as_bytes
+    assert data == written_values(values, fmt).encode("utf-16")
+
+
+def test_the_byte_path_follows_what_the_text_layer_holds():
+    raw = io.BytesIO()
+    stream = io.TextIOWrapper(raw, encoding="utf-8")
+    stream.write("before\n")
+    write_values(np.arange(1, 4, dtype=np.uint64), "json", stream)
+    stream.write("after\n")
+    stream.flush()
+    assert raw.getvalue() == b"before\n[1, 2, 3]\nafter\n"
+
+
+def test_the_byte_path_holds_a_bounded_number_of_rendered_chunks(monkeypatch):
+    # the same bound as the str path's: here the rendered bytes themselves
+    # wait to be written, into buffers reused once written
+    values = many_chunks(40)
+    chunk_text = len(printed_values(values[:VALUE_CHUNK].tolist(), "text"))
+    workers = 3
+
+    kinds = set()
+
+    class Slow(io.BufferedIOBase):
+        def writable(self):
+            return True
+
+        def write(self, data):
+            kinds.add(type(data))
+            threading.Event().wait(0.005)
+            return len(memoryview(data))
+
+    monkeypatch.setattr(cpsq.windows, "_workers", lambda: workers)
+    stream = io.TextIOWrapper(Slow(), encoding="ascii")
+    tracemalloc.start()
+    try:
+        write_values(values[:VALUE_CHUNK], "text", stream)  # warm up
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        write_values(values, "text", stream)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert np.ndarray in kinds
+    scratch = 20 * VALUE_CHUNK + chunk_text
+    assert peak <= (2 * workers + 2) * chunk_text + workers * scratch, peak
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_the_byte_path_in_order_on_more_threads_than_cpus(fmt, monkeypatch):
+    # buffers go back to the pool only once written: a chunk rendered into
+    # one too early would show here as another chunk's bytes
+    values = many_chunks(9)
+    expected = printed_values(values.tolist(), fmt).encode("ascii")
+    monkeypatch.setattr(cpsq.windows, "_workers", lambda: 24)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(2):
+            assert written_bytes(values, fmt, "utf-8") == (expected, True)
+    finally:
+        sys.setswitchinterval(interval)

@@ -571,3 +571,72 @@ def test_banded_values_keep_to_9_bytes_a_window(table_big, monkeypatch):
         # plus the walk's small arrays
         assert peak <= 9 * windows + (1 << 20), (workers, peak)
         assert values.size == report.distinct_count
+
+
+# ---------------------------------------------------------------------------
+# the dedup sort: uint64 values sorted as doubles, checked as integers
+# ---------------------------------------------------------------------------
+
+# finite non-negative doubles order as their bit patterns do; from
+# 0x7FF0000000000000 come inf and the NaNs, and past 2^63 the sign bit
+# reverses the order
+uint64_draws = st.one_of(
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.integers(min_value=2**62, max_value=2**63 - 1),
+    st.integers(min_value=0x7FF0000000000000, max_value=2**63 - 1),
+    st.integers(min_value=2**63, max_value=2**64 - 1),
+    st.integers(min_value=0, max_value=100),
+)
+
+
+@given(st.lists(uint64_draws, max_size=200))
+@example([0, 0x7FF0000000000001])  # a NaN the float sort would rewrite
+@example([2**63, 1, 0])
+@settings(max_examples=300)
+def test_dedup_sort_is_the_integer_order(values):
+    got = np.array(values, dtype=np.uint64)
+    cpsq.windows._sort(got)
+    assert np.array_equal(got, np.sort(np.array(values, dtype=np.uint64)))
+
+
+def test_dedup_sort_mends_a_float_order_that_is_not_the_integer_order(monkeypatch):
+    def reversed_order(values):
+        values.sort()
+        values[:] = values[::-1].copy()
+
+    monkeypatch.setattr(cpsq.windows, "_sort_as_doubles", reversed_order)
+    values = np.random.default_rng(5).integers(0, 2**52, 1000, dtype=np.uint64)
+    expected = np.sort(values)
+    cpsq.windows._sort(values)
+    assert np.array_equal(values, expected)
+
+
+def test_dedup_sort_skips_doubles_where_denormals_compare_as_zero(monkeypatch):
+    def refused(values):
+        raise AssertionError("sorted as doubles")
+
+    monkeypatch.setattr(cpsq.windows, "_sort_as_doubles", refused)
+    monkeypatch.setattr(cpsq.windows, "_LEAST_DOUBLE", np.float64(0))
+    values = np.array([3, 1, 2, 1], dtype=np.uint64)
+    cpsq.windows._sort(values)
+    assert values.tolist() == [1, 1, 2, 3]
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4])
+def test_banded_values_with_equal_values_across_a_band_edge(table_small, monkeypatch, workers):
+    # each three window values made equal to the first of them, so that
+    # band edges fall between equal values
+    real = cpsq.windows._window_values
+
+    def in_threes(*args):
+        values = real(*args)
+        return values[np.arange(values.size) // 3 * 3]
+
+    monkeypatch.setattr(cpsq.windows, "_window_values", in_threes)
+    x = 10**5
+    windows = [value for _, _, value in oracle_windows(x)]  # by (length, start), as filled
+    crafted = np.array(windows, dtype=np.uint64)[np.arange(len(windows)) // 3 * 3]
+    ordered = np.sort(crafted)
+    edges = [len(windows) * b // workers for b in range(1, workers)]
+    assert any(ordered[e - 1] == ordered[e] for e in edges)
+    assert banded_values(x, table_small, workers).tolist() == sorted(set(crafted.tolist()))
