@@ -1,7 +1,8 @@
 """Command line front end.
 
 Subcommands: count, list, find, maxlen, verify, table-check. Results go to
-stdout in text (default), JSON, or CSV; diagnostics go to stderr. Exit
+stdout in text (default), JSON, or CSV; diagnostics go to stderr. ``list``
+writes ASCII bytes with "\n" line ends to stdout's binary layer. Exit
 codes: 0 success / all checks pass, 1 a bound check failed, 2 bad usage or
 argument values, 3 a resource refusal (sieve request too large).
 
@@ -12,11 +13,14 @@ worth the file and are recomputed instead.
 
 A reader that closes stdout early (``cpsq list 1e10 | head``) ends the
 output quietly: the command keeps the exit code it had already decided.
+So does a stdout or stderr closed at the start (``cpsq list 100 >&-``):
+what would go there is lost, and no diagnostic falls back to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import os
 import re
@@ -55,6 +59,13 @@ class CliConfig:
     format: str = "text"
     count_mode: str = "both"
     grid: tuple[int, ...] | None = None
+
+
+def _to_stderr(line: str) -> None:
+    """One diagnostic line to stderr; a stderr that cannot be written loses
+    the line, as argparse loses its own, and not the exit code."""
+    with contextlib.suppress(OSError):
+        print(line, file=sys.stderr)
 
 
 def _named(text: str) -> str:
@@ -190,14 +201,14 @@ def provision_table(needed_limit: int, config: CliConfig) -> PrimeTable:
             if cached.limit >= needed_limit:
                 return cached
         except ValueError as exc:
-            print(f"warning: ignoring cache: {exc}", file=sys.stderr)
+            _to_stderr(f"warning: ignoring cache: {exc}")
     table = sieve_primes(needed_limit)
     if needed_limit >= CACHE_MIN_LIMIT:
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             save_table(table, path)
         except OSError as exc:
-            print(f"warning: could not write cache: {exc}", file=sys.stderr)
+            _to_stderr(f"warning: could not write cache: {exc}")
     return table
 
 
@@ -226,7 +237,9 @@ def _cmd_count(config: CliConfig) -> _Outcome:
 def _cmd_list(config: CliConfig) -> _Outcome:
     x = config.x_or_target
     table = provision_table(isqrt(x), config)
-    return 0, partial(write_values, values_up_to(x, table), config.format, sys.stdout)
+    values = values_up_to(x, table)
+    # stdout is read when run writes, which it skips when there is none
+    return 0, lambda: write_values(values, config.format, sys.stdout.buffer)
 
 
 def _cmd_find(config: CliConfig) -> _Outcome:
@@ -314,12 +327,11 @@ def run(config: CliConfig) -> int:
         if x is not None and x < 1:
             raise ValueError(f"{config.command} needs a positive integer, got {brief(x)}")
         code, write = _HANDLERS[config.command](config)
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (ResourceLimitError, ValueError) as exc:
+        _to_stderr(f"error: {exc}")
+        return 3 if isinstance(exc, ResourceLimitError) else 2
+    if sys.stdout is None:
+        return code  # fd 1 was closed at the start: the output goes nowhere
     try:
         write()
         sys.stdout.flush()
@@ -334,6 +346,9 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         # what the imports built lives until exit; frozen, the collector skips it
         gc.freeze()
+    if sys.stderr is None:
+        # fd 2 was closed at the start; print and argparse would use stdout
+        sys.stderr = open(os.devnull, "w")
     try:
         config = parse_args(argv)
     except SystemExit as exc:

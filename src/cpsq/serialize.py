@@ -10,18 +10,16 @@ Value lists (``write_values``) skip the per-value Python objects: a sorted
 uint64 array is turned into ASCII bytes by numpy, 2^16 values at a time,
 storing each 4-digit group straight into its place in the output, on up to
 one thread per CPU with scratch reused from chunk to chunk, and written
-chunk by chunk in order: as bytes to the stream's binary layer, from output
-buffers reused once written, where that writes what the text layer would;
-else as text.
+chunk by chunk in order to a binary stream, from output buffers reused once
+written.
 """
 
 from __future__ import annotations
 
 import io
-import os
 import threading
 from dataclasses import fields, is_dataclass
-from typing import Any, Iterable, Sequence, TextIO
+from typing import Any, BinaryIO, Iterable, Sequence
 
 import numpy as np
 
@@ -68,9 +66,9 @@ _POW10 = np.array([10**k for k in range(1, 20)], dtype=np.uint64)
 
 #: write_values' (head, separator after each value, tail) per format
 _VALUE_LAYOUT = {
-    "text": ("", b"\n", ""),
-    "csv": ("value\n", b"\n", ""),
-    "json": ("[", b", ", "]\n"),
+    "text": (b"", b"\n", b""),
+    "csv": (b"value\n", b"\n", b""),
+    "json": (b"[", b", ", b"]\n"),
 }
 
 
@@ -196,13 +194,13 @@ def _column(out: np.ndarray, at: int, row: int, n: int) -> np.ndarray:
 def _render_values(
     chunk: np.ndarray,
     sep: bytes,
-    out: np.ndarray | None = None,
-    scratch: tuple[np.ndarray, np.ndarray] | None = None,
+    out: np.ndarray | None,
+    scratch: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """ASCII bytes of a nonempty sorted uint64 chunk, each value then ``sep``:
     a prefix of the uint8 array ``out`` if it is long enough, else of a
-    fresh one. ``scratch`` (fresh if None) is a uint64 array of two rows and
-    a uint32 array, each row at least ``chunk.size`` long: 20 bytes a value.
+    fresh one. ``scratch`` is a uint64 array of two rows and a uint32 array,
+    each row at least ``chunk.size`` long: 20 bytes a value.
 
     The values of w digits are one run of rows w + len(sep) bytes long,
     filled a column at a time with no copy between: the 4-digit groups,
@@ -219,8 +217,6 @@ def _render_values(
     size = sum((hi - lo) * (w + len(sep)) for w, lo, hi in runs)
     if out is None or out.size < size:
         out = np.empty(size, dtype=np.uint8)
-    if scratch is None:
-        scratch = np.empty((2, chunk.size), dtype=np.uint64), np.empty(chunk.size, np.uint32)
     pos = 0
     for w, lo, hi in runs:
         n, row, lead = hi - lo, w + len(sep), (w - 1) % 4 + 1
@@ -264,52 +260,27 @@ def _render_values(
     return out[:size]
 
 
-#: every ASCII character, to tell an ASCII-compatible encoding
-_ASCII = bytes(range(128))
-
-
-def _byte_layer(stream: TextIO) -> io.BufferedIOBase | None:
-    """The binary layer under ``stream`` when ASCII bytes written there are
-    the bytes the text layer would write: an ASCII-compatible encoding, and
-    no newline translation beyond os.linesep, which must be "\n"; else
-    None. A stream without a ``buffer`` or an ``encoding`` has none. A text
-    layer does not show a ``newline=`` of its own, so one made with, say,
-    newline="\r\n" gets "\n" here where its own writes would give "\r\n"."""
-    raw = getattr(stream, "buffer", None)
-    encoding = getattr(stream, "encoding", None)
-    if raw is None or not isinstance(encoding, str) or os.linesep != "\n":
-        return None
-    try:
-        same = _ASCII.decode("ascii").encode(encoding) == _ASCII
-    except (LookupError, UnicodeError):
-        return None
-    return raw if same else None
-
-
-def write_values(values: np.ndarray, fmt: str, stream: TextIO) -> None:
-    """Write sorted uint64 values to ``stream`` in one of FORMATS.
+def write_values(values: np.ndarray, fmt: str, out: BinaryIO) -> None:
+    """Write sorted uint64 values to the binary stream ``out`` in one of
+    FORMATS, as ASCII with "\n" line ends.
 
     text is one value a line, csv the same under a ``value`` header, json
     exactly ``json.dumps(list(values))`` and a newline. Values are rendered
     VALUE_CHUNK at a time on up to windows._workers() threads, at most two
     rendered chunks a thread ahead of the writing, and written in order by
-    the calling thread, one ``write`` a chunk; no Python object is made per
-    value.
+    the calling thread, one ``write`` of a uint8 array a chunk; no Python
+    object is made per value.
 
-    Each thread renders into scratch of its own, 20 bytes a value. Where
-    _byte_layer finds a binary layer, the text layer is flushed and every
-    byte goes to the binary layer, each chunk rendered into a buffer that an
-    earlier chunk was written from, so the buffers number at most the chunks
-    in flight; else each chunk is rendered into a fresh buffer and written
-    as a ``str``, which the buffer does not outlive.
+    Each thread renders into scratch of its own, 20 bytes a value, and each
+    chunk into a buffer that an earlier chunk was written from, so the
+    buffers number at most the chunks in flight.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
     values = np.asarray(values, dtype=np.uint64)
     head, sep, tail = _VALUE_LAYOUT[fmt]
-    raw = _byte_layer(stream)
     local = threading.local()
-    free: list[np.ndarray] = []  # output buffers written to the binary layer
+    free: list[np.ndarray] = []  # output buffers already written out
 
     def spare() -> np.ndarray | None:
         """An output buffer already written out, if one is free."""
@@ -318,7 +289,7 @@ def write_values(values: np.ndarray, fmt: str, stream: TextIO) -> None:
         except IndexError:
             return None
 
-    def render(start: int) -> np.ndarray | str:
+    def render(start: int) -> np.ndarray:
         if not hasattr(local, "scratch"):
             local.scratch = (
                 np.empty((2, VALUE_CHUNK), dtype=np.uint64),
@@ -329,18 +300,12 @@ def write_values(values: np.ndarray, fmt: str, stream: TextIO) -> None:
         text = _render_values(values[start : start + VALUE_CHUNK], sep, spare(), local.scratch)
         if fmt == "json" and start + VALUE_CHUNK >= values.size:
             text = text[: -len(sep)]  # json's ", " goes between values only
-        return text if raw is not None else str(text, "ascii")
+        return text
 
     def put(text: np.ndarray) -> None:
-        raw.write(text)
+        out.write(text)
         free.append(text.base)  # the whole buffer the bytes are a prefix of
 
-    if raw is None:
-        stream.write(head)
-        _thread_map(render, range(0, values.size, VALUE_CHUNK), stream.write)
-        stream.write(tail)
-    else:
-        stream.flush()  # what the text layer holds goes first
-        raw.write(head.encode("ascii"))
-        _thread_map(render, range(0, values.size, VALUE_CHUNK), put)
-        raw.write(tail.encode("ascii"))
+    out.write(head)
+    _thread_map(render, range(0, values.size, VALUE_CHUNK), put)
+    out.write(tail)

@@ -201,16 +201,16 @@ def _workers() -> int:
 def _thread_map(
     task: Callable[[_T], _R],
     items: Sequence[_T],
-    consume: Callable[[_R], object] | None = None,
+    consume: Callable[[_R], object],
     threads: int | None = None,
     ahead: int = 2,
 ) -> None:
     """Run ``task`` on every item on up to ``threads`` threads (default
     _workers()): the calling thread and daemon threads, none started for
-    one thread or one item. ``consume``, if given, gets the results on the
-    calling thread in item order. A task starts only while fewer than
-    ``ahead`` results a thread are started and not yet consumed, so that
-    many results at most are held at once, plus the one being consumed.
+    one thread or one item. ``consume`` gets the results on the calling
+    thread in item order. A task starts only while fewer than ``ahead``
+    results a thread are started and not yet consumed, so that many
+    results at most are held at once, plus the one being consumed.
 
     Every thread has ended when this returns or raises. An exception in a
     task stops the tasks not yet started and is raised here once the
@@ -277,8 +277,7 @@ def _thread_map(
                         cond.wait()
                         continue
                 run(j)
-            if consume is not None:
-                consume(result)
+            consume(result)
             del result  # not held while the next result is awaited or made
     finally:
         with cond:

@@ -47,6 +47,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def binary_stdout():
+    """A stdout with a binary layer under its text layer, as a process's
+    own has: ``list`` writes to the one, the other commands print to the
+    other, and ``.buffer.getvalue()`` reads back both."""
+    return io.TextIOWrapper(io.BytesIO(), encoding="utf-8", write_through=True)
+
+
 def test_list_text(capsys):
     code, out, _ = run_cli(capsys, "list", "100")
     assert code == 0
@@ -92,10 +99,26 @@ def test_list_matches_printing_each_value(capsys, table_big, x):
 )
 @settings(max_examples=50, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_list_property_matches_printing_each_value(table_small, x, fmt):
-    out = io.StringIO()
+    out = binary_stdout()
     with contextlib.redirect_stdout(out):
         assert main(["list", str(x), "--format", fmt]) == 0
-    assert out.getvalue() == printed_values(distinct_values(x, table_small), fmt)
+    assert out.buffer.getvalue().decode("ascii") == printed_values(
+        distinct_values(x, table_small), fmt
+    )
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_list_writes_ascii_whatever_the_stdout_encoding(table_small, fmt, tmp_path):
+    # the bytes go to stdout's binary layer, past a text layer that would
+    # write utf-16
+    proc = subprocess.run(
+        [sys.executable, "-m", "cpsq.cli", "list", "1000000", "--format", fmt],
+        capture_output=True, env=dict(cli_env(tmp_path), PYTHONIOENCODING="utf-16"),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    values = distinct_values(10**6, table_small)
+    assert proc.stdout == printed_values(values, fmt).encode("ascii")
 
 
 def test_count_modes(capsys):
@@ -386,7 +409,7 @@ _COMMAND = st.sampled_from(["count", "list", "find", "maxlen", "verify", "table-
 )
 @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_every_argv_gets_one_exit_code_of_the_contract(argv):
-    out, err = io.StringIO(), io.StringIO()
+    out, err = binary_stdout(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2, 3)
@@ -430,6 +453,74 @@ def test_closed_stdout_ends_quietly_with_the_decided_code(argv, tmp_path):
     assert proc.wait(timeout=60) == 0, err
     for marker in ("Traceback", "BrokenPipeError", "Exception ignored"):
         assert marker not in err
+
+
+def left_at_start(stream):
+    """A preexec_fn for "closed-1" or "closed-2", which closes that fd, or
+    for "read-only-2", which opens fd 2 for reading only."""
+    fd = int(stream[-1])
+    if stream.startswith("closed"):
+        return lambda: os.close(fd)
+    return lambda: os.dup2(os.open(os.devnull, os.O_RDONLY), fd)
+
+
+_LIST_100 = b"4\n9\n13\n25\n34\n38\n49\n74\n83\n87\n"
+
+
+# fd 1 or 2 closed when the child starts (sys.stdout or sys.stderr is None
+# there), or fd 2 open for reading only (each write fails with EBADF): the
+# command keeps the exit code it decided, and no diagnostic falls back to
+# stdout; out None is a closed stdout
+_UNUSABLE = [
+    ("closed-1", ["list", "100"], 0, None),
+    ("closed-1", ["count", "100"], 0, None),
+    ("closed-1", ["verify"], 0, None),
+    ("closed-1", ["count", "0"], 2, None),
+    ("closed-2", ["list", "100"], 0, _LIST_100),
+    ("closed-2", ["count", "0"], 2, b""),
+    ("closed-2", ["list", "1e700"], 3, b""),
+    ("closed-2", ["count"], 2, b""),
+    ("read-only-2", ["count", "0"], 2, b""),
+    ("read-only-2", ["count"], 2, b""),
+]
+
+
+@pytest.mark.parametrize(
+    ("stream", "argv", "code", "out"),
+    _UNUSABLE,
+    ids=[f"{stream}-{'-'.join(argv)}" for stream, argv, *_ in _UNUSABLE],
+)
+def test_an_unusable_stdout_or_stderr_keeps_the_exit_code(stream, argv, code, out, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "cpsq.cli", *argv],
+        capture_output=True, env=cli_env(tmp_path), timeout=60,
+        preexec_fn=left_at_start(stream),
+    )
+    assert proc.returncode == code, proc.stderr
+    assert b"Traceback" not in proc.stderr
+    if out is None:  # the diagnostics still reach stderr
+        assert proc.stdout == b""
+        assert (b"error:" in proc.stderr) == (code == 2)
+    else:
+        assert proc.stdout == out
+
+
+@pytest.mark.parametrize(
+    ("redirect", "argv", "code"),
+    [
+        (">&-", "list 100", 0),
+        (">&-", "count 0", 2),
+        ("2>&-", "count 0", 2),
+        ("2>&-", "list 1e700", 3),
+    ],
+)
+def test_a_shell_closed_stream_keeps_the_exit_code(redirect, argv, code, tmp_path):
+    proc = subprocess.run(
+        ["sh", "-c", f'exec "$0" -m cpsq.cli {argv} {redirect}', sys.executable],
+        capture_output=True, env=cli_env(tmp_path), timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert b"Traceback" not in proc.stderr and b"error:" not in proc.stdout
 
 
 # x past a float's range (1.8e308), x whose window cap needs primes past

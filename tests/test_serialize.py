@@ -149,9 +149,9 @@ def test_serialize_report_dispatch_and_unknown_format():
 
 
 def written_values(values, fmt):
-    out = io.StringIO()
+    out = io.BytesIO()
     write_values(np.array(values, dtype=np.uint64), fmt, out)
-    return out.getvalue()
+    return out.getvalue().decode("ascii")
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
@@ -166,6 +166,7 @@ def written_values(values, fmt):
         [2**64 - 1],
         [0, 9, 10, 99, 100, 9999, 10**4, 10**19 - 1, 10**19, 2**64 - 1],
         [10**k + d for k in range(20) for d in (-1, 0) if 10**k + d >= 0],
+        [0, 4, 9, 13, 25, 34, 38, 49, 50, 74, 83, 87, 99, 100, 101],
     ],
 )
 def test_write_values_matches_printing_each_value(values, fmt):
@@ -182,18 +183,23 @@ def test_write_values_across_chunk_edges(fmt):
 
 
 def test_write_values_writes_chunk_by_chunk():
+    # each chunk is written as the uint8 array it was rendered into, not as
+    # a bytes copy; the array is copied here, since its buffer is reused
     writes = []
 
     class Sink:
-        write = writes.append
+        def write(self, data):
+            writes.append((type(data), bytes(data)))
 
     write_values(np.arange(1, 2 * VALUE_CHUNK + 2, dtype=np.uint64), "text", Sink())
-    assert [w.count("\n") for w in writes if w] == [VALUE_CHUNK, VALUE_CHUNK, 1]
+    chunks = [(kind, data) for kind, data in writes if data]
+    assert [data.count(b"\n") for _, data in chunks] == [VALUE_CHUNK, VALUE_CHUNK, 1]
+    assert {kind for kind, _ in chunks} == {np.ndarray}
 
 
 def test_write_values_unknown_format():
     with pytest.raises(ValueError, match="unknown format"):
-        write_values(np.array([4], dtype=np.uint64), "yaml", io.StringIO())
+        write_values(np.array([4], dtype=np.uint64), "yaml", io.BytesIO())
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +207,9 @@ def test_write_values_unknown_format():
 # ---------------------------------------------------------------------------
 
 def rendered(values, sep):
-    return _render_values(np.array(values, dtype=np.uint64), sep).tobytes().decode("ascii")
+    chunk = np.array(values, dtype=np.uint64)
+    scratch = np.empty((2, chunk.size), dtype=np.uint64), np.empty(chunk.size, dtype=np.uint32)
+    return _render_values(chunk, sep, None, scratch).tobytes().decode("ascii")
 
 
 def width_run(w):
@@ -248,6 +256,8 @@ def many_chunks(n_chunks, seed=11):
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 def test_write_values_in_order_on_more_threads_than_cpus(fmt, monkeypatch):
+    # buffers go back to the pool only once written: a chunk rendered into
+    # one too early would show here as another chunk's bytes
     values = many_chunks(9)
     expected = printed_values(values.tolist(), fmt)
     monkeypatch.setattr(cpsq.windows, "_workers", lambda: 24)
@@ -263,21 +273,22 @@ def test_write_values_in_order_on_more_threads_than_cpus(fmt, monkeypatch):
 def test_an_error_in_one_render_reaches_the_caller(monkeypatch):
     real = cpsq.serialize._render_values
 
-    def failing(chunk, sep, *scratch):
+    def failing(chunk, sep, *buffers):
         if chunk[0] == 3 * VALUE_CHUNK + 1:
             raise MemoryError("chunk 3")
-        return real(chunk, sep)
+        return real(chunk, sep, *buffers)
 
     monkeypatch.setattr(cpsq.serialize, "_render_values", failing)
     before = threading.active_count()
     values = np.arange(1, 8 * VALUE_CHUNK + 1, dtype=np.uint64)
     for workers in (1, 2, 4):
         monkeypatch.setattr(cpsq.windows, "_workers", lambda: workers)
-        out = io.StringIO()
+        out = io.BytesIO()
         with pytest.raises(MemoryError, match="chunk 3"):
             write_values(values, "text", out)
         assert threading.active_count() == before
-        assert out.getvalue() == printed_values(list(range(1, 3 * VALUE_CHUNK + 1)), "text")
+        written = out.getvalue().decode("ascii")
+        assert written == printed_values(list(range(1, 3 * VALUE_CHUNK + 1)), "text")
 
 
 def test_a_closed_stream_stops_the_writing(monkeypatch):
@@ -300,14 +311,20 @@ def test_a_closed_stream_stops_the_writing(monkeypatch):
 
 
 def test_write_values_holds_a_bounded_number_of_rendered_chunks(monkeypatch):
-    # a slow stream lets the renderers run as far ahead as they may: two
-    # chunks a thread, plus the one being written and one being rendered
+    # a slow stream lets the renderers run as far ahead as they may: a
+    # buffer for each of two chunks a thread and the one being written, one
+    # more while a spare too short for its chunk is replaced, each at most
+    # the longest chunk's text; a thread's scratch, 20 bytes a value; and
+    # under 64 kB that the threads and calls allocate besides
     values = many_chunks(40)
-    chunk_text = len(printed_values(values[:VALUE_CHUNK].tolist(), "text"))
+    longest = max(
+        len(printed_values(values[start : start + VALUE_CHUNK].tolist(), "text"))
+        for start in range(0, values.size, VALUE_CHUNK)
+    )
     workers = 3
 
     class Slow:
-        def write(self, text):
+        def write(self, data):
             threading.Event().wait(0.005)
 
     monkeypatch.setattr(cpsq.windows, "_workers", lambda: workers)
@@ -320,18 +337,16 @@ def test_write_values_holds_a_bounded_number_of_rendered_chunks(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    # a chunk being rendered also holds its digit groups and quotients, 20
-    # bytes a value, and its bytes before they become the text
-    scratch = 20 * VALUE_CHUNK + chunk_text
-    assert peak <= (2 * workers + 2) * chunk_text + workers * scratch, peak
+    assert peak <= (2 * workers + 2) * longest + workers * 20 * VALUE_CHUNK + 2**16, peak
 
 
 # ---------------------------------------------------------------------------
-# the byte path: a stream whose binary layer takes the ASCII bytes
+# the byte path: a binary stream, as the CLI hands over, takes the ASCII
+# bytes of the str form, each chunk as the array it was rendered into
 # ---------------------------------------------------------------------------
 
 class Recorded(io.BytesIO):
-    """A binary layer that keeps the type of everything written to it."""
+    """A binary stream that keeps the type of everything written to it."""
 
     def __init__(self):
         super().__init__()
@@ -342,18 +357,15 @@ class Recorded(io.BytesIO):
         return super().write(data)
 
 
-def written_bytes(values, fmt, encoding):
+def written_bytes(values, fmt):
     raw = Recorded()
-    stream = io.TextIOWrapper(raw, encoding=encoding)
-    write_values(np.array(values, dtype=np.uint64), fmt, stream)
-    stream.flush()
+    write_values(np.array(values, dtype=np.uint64), fmt, raw)
     return raw.getvalue(), np.ndarray in raw.kinds
 
 
 byte_path_cases = [
     [],
     [4],
-    [0, 4, 9, 13, 25, 34, 38, 49, 50, 74, 83, 87, 99, 100, 101],
     list(range(1, VALUE_CHUNK + 1)),
     list(range(1, VALUE_CHUNK + 2)),
     [10**k + d for k in range(20) for d in (-1, 0) if 10**k + d >= 0] + [2**64 - 1],
@@ -363,34 +375,15 @@ byte_path_cases = [
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 @pytest.mark.parametrize("values", byte_path_cases, ids=lambda v: f"{len(v)}-values")
 def test_the_byte_path_writes_the_bytes_of_the_str_path(values, fmt):
-    text = written_values(values, fmt)
-    for encoding in ("ascii", "utf-8", "latin-1"):
-        data, as_bytes = written_bytes(values, fmt, encoding)
-        assert data == text.encode("ascii")
-        assert as_bytes == bool(values)
-
-
-@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
-def test_an_encoding_other_than_ascii_takes_the_str_path(fmt):
-    values = list(range(1, VALUE_CHUNK + 2))
-    data, as_bytes = written_bytes(values, fmt, "utf-16")
-    assert not as_bytes
-    assert data == written_values(values, fmt).encode("utf-16")
-
-
-def test_the_byte_path_follows_what_the_text_layer_holds():
-    raw = io.BytesIO()
-    stream = io.TextIOWrapper(raw, encoding="utf-8")
-    stream.write("before\n")
-    write_values(np.arange(1, 4, dtype=np.uint64), "json", stream)
-    stream.write("after\n")
-    stream.flush()
-    assert raw.getvalue() == b"before\n[1, 2, 3]\nafter\n"
+    data, as_bytes = written_bytes(values, fmt)
+    assert data == printed_values(values, fmt).encode("ascii")
+    assert as_bytes == bool(values)
 
 
 def test_the_byte_path_holds_a_bounded_number_of_rendered_chunks(monkeypatch):
-    # the same bound as the str path's: here the rendered bytes themselves
-    # wait to be written, into buffers reused once written
+    # the rendered bytes themselves wait to be written, into buffers reused
+    # once written; a chunk being rendered also holds its digit groups and
+    # quotients, 20 bytes a value, and its bytes before they are written
     values = many_chunks(40)
     chunk_text = len(printed_values(values[:VALUE_CHUNK].tolist(), "text"))
     workers = 3
@@ -407,7 +400,7 @@ def test_the_byte_path_holds_a_bounded_number_of_rendered_chunks(monkeypatch):
             return len(memoryview(data))
 
     monkeypatch.setattr(cpsq.windows, "_workers", lambda: workers)
-    stream = io.TextIOWrapper(Slow(), encoding="ascii")
+    stream = Slow()
     tracemalloc.start()
     try:
         write_values(values[:VALUE_CHUNK], "text", stream)  # warm up
@@ -424,8 +417,6 @@ def test_the_byte_path_holds_a_bounded_number_of_rendered_chunks(monkeypatch):
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_the_byte_path_in_order_on_more_threads_than_cpus(fmt, monkeypatch):
-    # buffers go back to the pool only once written: a chunk rendered into
-    # one too early would show here as another chunk's bytes
     values = many_chunks(9)
     expected = printed_values(values.tolist(), fmt).encode("ascii")
     monkeypatch.setattr(cpsq.windows, "_workers", lambda: 24)
@@ -433,6 +424,6 @@ def test_the_byte_path_in_order_on_more_threads_than_cpus(fmt, monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(2):
-            assert written_bytes(values, fmt, "utf-8") == (expected, True)
+            assert written_bytes(values, fmt) == (expected, True)
     finally:
         sys.setswitchinterval(interval)
