@@ -58,7 +58,6 @@ from .windows import (
     enumerate_representations,
     find_representations,
     max_window_length,
-    multiplicity_count,
     values_up_to,
 )
 
@@ -106,7 +105,6 @@ __all__ = [
     "load_table",
     "lower_bound",
     "max_window_length",
-    "multiplicity_count",
     "nth_prime",
     "prime_count",
     "record_from_dict",

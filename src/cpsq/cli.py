@@ -4,7 +4,8 @@ Subcommands: count, list, find, maxlen, verify, table-check. Results go to
 stdout in text (default), JSON, or CSV; diagnostics go to stderr. ``list``
 writes ASCII bytes with "\n" line ends to stdout's binary layer. Exit
 codes: 0 success / all checks pass, 1 a bound check failed, 2 bad usage or
-argument values, 3 a resource refusal (sieve request too large).
+argument values, 3 a resource refusal (sieve request too large) or an
+output that cannot be written (a full disk, a stdout not open for writing).
 
 Sieved prime tables are cached on disk between invocations in the CPSQ2
 binary format. The cache directory is the CPSQ_CACHE_DIR environment
@@ -39,7 +40,7 @@ from .primes import PrimeTable, load_table, save_table, sieve_primes
 from .reference import REFERENCE_LIMIT, REFERENCE_VALUES
 from .reports import FAIL
 from .serialize import FORMATS, serialize_report, write_values
-from .windows import count_sums, find_representations, multiplicity_count, values_up_to
+from .windows import count_sums, count_windows, find_representations, values_up_to
 
 CACHE_ENV = "CPSQ_CACHE_DIR"
 CACHE_FILENAME = "primes.cpsq"
@@ -225,7 +226,7 @@ def _cmd_count(config: CliConfig) -> _Outcome:
     table = provision_table(isqrt(x), config)
     if config.format == "text" and config.count_mode == "multiplicity":
         # the number of windows needs the walk only, no dedup
-        return 0, partial(print, f"x={x} multiplicity={multiplicity_count(x, table)}")
+        return 0, partial(print, f"x={x} multiplicity={sum(count_windows(x, table))}")
     report = count_sums(x, table)
     if config.format == "text" and config.count_mode == "distinct":
         text = f"x={report.x} distinct={report.distinct_count}"
@@ -339,6 +340,13 @@ def run(config: CliConfig) -> int:
         # the reader closed stdout: what is left of the output, and the
         # flush at exit, go to the null device, and the exit code stands
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:
+        # a full disk or a stdout not open for writing: the flush at exit
+        # goes to the null device too, since one that fails there would
+        # end the process with code 120
+        _to_stderr(f"error: cannot write the output: {exc}")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 3
     return code
 
 

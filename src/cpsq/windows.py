@@ -12,10 +12,11 @@ strictly increasing in m. Those two monotonicities drive everything here:
   1..c_{m0-1}, vectorized over its lengths. It is the one source of every
   c_m, so nothing here caps c_m by pi(sqrt(x / m)) and bounds can check
   that cap against it;
-* counting never materializes the representations: the window values, one
-  uint64 each, are sorted (_sort, through their float64 view, checked as
-  integers) and their repeats counted; the number of windows alone needs no
-  values at all, only the walk;
+* counting never materializes the representations: _sort sorts the window
+  values, one uint64 each, through their float64 view, and one integer
+  compare of each value with the one before both checks that order and
+  finds the repeats, which the distinct count leaves out; the number of
+  windows alone needs no values at all, only the walk;
 * past SPLIT_WINDOWS windows, count_sums dedups 24 residue classes apart,
   on a few threads: p^2 = 1 (mod 24) for every prime p >= 5, so a window
   (n, m) with n >= 3 has value = m (mod 24) and equal values share a class
@@ -24,8 +25,8 @@ strictly increasing in m. Those two monotonicities drive everything here:
 * values_up_to needs one ascending array instead: past SPLIT_WINDOWS it
   partitions its one value buffer in place at evenly spaced ranks into
   bands, every value of a band at most every value of the next, sorts the
-  bands and finds their repeats on a few threads, and closes up the
-  repeats inside the buffer.
+  bands and finds their repeats with _sort on a few threads, and closes up
+  the repeats inside the buffer.
 
 Prefix sums are held mod 2^64, so a difference is a window's true value
 only below 2^64; the walk states why its probes stay there.
@@ -56,7 +57,6 @@ __all__ = [
     "enumerate_representations",
     "count_windows",
     "count_sums",
-    "multiplicity_count",
     "find_representations",
     "values_up_to",
     "max_window_length",
@@ -345,35 +345,24 @@ def _sort_as_doubles(values: np.ndarray) -> None:
     values.view(np.float64).sort()
 
 
-def _sort(values: np.ndarray) -> None:
-    """Sort uint64 ``values`` in place: as doubles when every value is below
-    _NOT_FINITE and this thread's FPU compares denormals (the patterns below
-    2^52) as themselves, then checked ascending as integers; as integers
-    otherwise, or if that check fails. One bool a value while checked."""
+def _sort(values: np.ndarray) -> np.ndarray:
+    """Sort uint64 ``values`` in place; the ascending indices of the values
+    that equal the one before them, the repeats.
+
+    As doubles when every value is below _NOT_FINITE and this thread's FPU
+    compares denormals (the patterns below 2^52) as themselves: then one
+    integer compare finds every value at most the one before it, and when
+    each of those equals it the order is the integer order and they are the
+    repeats. As integers otherwise, or if one is less. One bool a value
+    while compared, and 8 bytes a repeat.
+    """
     if values.size and values.max() < _NOT_FINITE and _LEAST_DOUBLE > 0:
         _sort_as_doubles(values)
-        if not (values[1:] < values[:-1]).any():
-            return
+        hits = np.flatnonzero(values[1:] <= values[:-1]) + 1
+        if (values[hits] == values[hits - 1]).all():
+            return hits
     values.sort()
-
-
-def _repeats(values: np.ndarray) -> np.ndarray:
-    """The indices of the sorted ``values`` that equal the value before
-    them, ascending: one bool a value while they are found."""
     return np.flatnonzero(values[1:] == values[:-1]) + 1
-
-
-def _sorted_values(
-    counts: list[int],
-    table: PrimeTable,
-    residue: int | None = None,
-    heads: np.ndarray | None = None,
-) -> tuple[np.ndarray, int]:
-    """_window_values sorted, and how many of them equal the value before
-    them: 9 bytes a window."""
-    values = _window_values(counts, table, residue, heads)
-    _sort(values)
-    return values, int(np.count_nonzero(values[1:] == values[:-1]))
 
 
 def _distinct_by_class(counts: list[int], table: PrimeTable) -> int:
@@ -407,8 +396,8 @@ def _distinct_by_class(counts: list[int], table: PrimeTable) -> int:
     _refuse_past_ceiling(int(c.sum()), int(need[0]))
 
     def distinct(r: int) -> int:
-        values, repeats = _sorted_values(long, table, r, heads[cuts[r] : cuts[r + 1]])
-        return values.size - repeats
+        values = _window_values(long, table, r, heads[cuts[r] : cuts[r + 1]])
+        return values.size - _sort(values).size
 
     found: list[int] = []
     largest_first = np.argsort(sizes)[::-1].tolist()
@@ -419,8 +408,9 @@ def _distinct_by_class(counts: list[int], table: PrimeTable) -> int:
 def count_sums(x: int, table: PrimeTable) -> CountReport:
     """Count representable values <= x under both semantics in one pass.
 
-    Multiplicity is the sum of the per-length counts; distinct values are
-    deduplicated by sorting the window values, 8 bytes each, so nothing
+    Multiplicity is the sum of the per-length counts; the distinct count is
+    that less the repeats _sort finds in the window values, 8 bytes each,
+    with the one compare that checks their sorted order, so nothing
     per-object survives the pass. Past SPLIT_WINDOWS windows the sort runs
     per residue class mod 24 on as many threads as fit. Raises
     ResourceLimitError when the values and repeat marks held at once, on
@@ -431,7 +421,7 @@ def count_sums(x: int, table: PrimeTable) -> CountReport:
     total = sum(counts)
     if total < SPLIT_WINDOWS:
         _refuse_past_ceiling(total, 9 * total)
-        distinct = total - _sorted_values(counts, table)[1]
+        distinct = total - _sort(_window_values(counts, table)).size
     else:
         distinct = _distinct_by_class(counts, table)
     return CountReport(
@@ -441,12 +431,6 @@ def count_sums(x: int, table: PrimeTable) -> CountReport:
         per_length=dict(enumerate(counts, 1)) or {1: 0},
         max_length_seen=len(counts),
     )
-
-
-def multiplicity_count(x: int, table: PrimeTable) -> int:
-    """Number of windows with value <= x: count_sums' multiplicity alone,
-    from the walk, without building or sorting any value."""
-    return sum(count_windows(x, table))
 
 
 def find_representations(target: int, table: PrimeTable) -> list[Representation]:
@@ -472,9 +456,9 @@ def values_up_to(x: int, table: PrimeTable) -> np.ndarray:
     all, refused past primes.MAX_SIEVE_BYTES.
 
     Past SPLIT_WINDOWS windows the buffer is partitioned in place at
-    _workers() - 1 evenly spaced ranks into bands, each sorted and searched
-    for repeats on its own thread; below it there is one band, on the
-    calling thread.
+    _workers() - 1 evenly spaced ranks into bands, each sorted on its own
+    thread by _sort, whose order check finds the band's repeats; below it
+    there is one band, on the calling thread.
     """
     counts = _walk(_covered(x, table), table)
     total = sum(counts)
@@ -488,8 +472,7 @@ def values_up_to(x: int, table: PrimeTable) -> np.ndarray:
     def band(b: int) -> list[int]:
         """Sort band b; the indices in it of its repeats."""
         lo, hi = edges[b], edges[b + 1]
-        _sort(values[lo:hi])
-        return (_repeats(values[lo:hi]) + lo).tolist()
+        return (_sort(values[lo:hi]) + lo).tolist()
 
     repeats: list[int] = []
     _thread_map(band, range(bands), repeats.extend)

@@ -523,6 +523,29 @@ def test_a_shell_closed_stream_keeps_the_exit_code(redirect, argv, code, tmp_pat
     assert b"Traceback" not in proc.stderr and b"error:" not in proc.stdout
 
 
+# an output that cannot be written, on a full device (ENOSPC at the first
+# write or flush) or a stdout open for reading only (EBADF), gets exit 3
+# and one error line, not a traceback, nor the flush at exit's code 120
+@pytest.mark.parametrize("sink", ["/dev/full", "read-only"])
+@pytest.mark.parametrize("argv", ["list 100", "count 100", "verify --grid 289"])
+def test_an_output_that_cannot_be_written_exits_3(sink, argv, tmp_path):
+    if sink == "/dev/full" and not os.path.exists(sink):
+        pytest.skip("no /dev/full on this system")
+    path, mode = (os.devnull, "rb") if sink == "read-only" else (sink, "wb")
+    with open(path, mode) as out:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cpsq.cli", *argv.split()],
+            stdout=out, stderr=subprocess.PIPE, text=True, env=cli_env(tmp_path), timeout=60,
+        )
+    assert proc.returncode == 3, proc.stderr
+    assert [line for line in proc.stderr.splitlines() if "error:" in line] == [
+        proc.stderr.rstrip("\n")
+    ]
+    assert proc.stderr.startswith("error: cannot write the output: ")
+    for marker in ("Traceback", "Exception ignored"):
+        assert marker not in proc.stderr
+
+
 # x past a float's range (1.8e308), x whose window cap needs primes past
 # MAX_LIMIT, a shorthand too long to build in seconds, and an empty grid:
 # each is refused in well under the timeout, with one short error line that

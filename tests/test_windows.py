@@ -24,7 +24,6 @@ from cpsq import (
     enumerate_representations,
     find_representations,
     max_window_length,
-    multiplicity_count,
     prime_count,
     sieve_primes,
     values_up_to,
@@ -95,7 +94,7 @@ def test_count_sums_below_first_value(table_small):
 @pytest.mark.parametrize("x", [1, 3, 4, 50, 5000, 12345, 10**6, 10**8])
 def test_multiplicity_count_matches_count_sums(x, table_small):
     expected = count_sums(x, table_small).multiplicity_count
-    assert multiplicity_count(x, table_small) == expected
+    assert sum(count_windows(x, table_small)) == expected
 
 
 def test_dedup_refuses_past_the_byte_ceiling(table_small, monkeypatch):
@@ -106,7 +105,7 @@ def test_dedup_refuses_past_the_byte_ceiling(table_small, monkeypatch):
         count_sums(10**6, table_small)
     with pytest.raises(ResourceLimitError, match=f"{9 * windows} bytes"):
         values_up_to(10**6, table_small)
-    assert multiplicity_count(10**6, table_small) == windows
+    assert sum(count_windows(10**6, table_small)) == windows
     monkeypatch.setattr(cpsq.primes, "MAX_SIEVE_BYTES", 9 * windows)
     report = count_sums(10**6, table_small)
     assert report.multiplicity_count == windows
@@ -275,16 +274,16 @@ def test_split_distinct_count_matches_oracle(table_small, x, workers):
 def test_each_class_holds_the_windows_of_its_residue(table_small, monkeypatch):
     # no value repeats below 10^6, so only the classes themselves show a
     # window placed in the wrong one
-    real = cpsq.windows._sorted_values
+    real = cpsq.windows._window_values
     classes = {}
 
     def recording(counts, table, residue=None, heads=None):
-        values, fresh = real(counts, table, residue, heads)
+        values = real(counts, table, residue, heads)
         classes[residue] = values.tolist()
-        return values, fresh
+        return values
 
     monkeypatch.setattr(cpsq.windows, "SPLIT_WINDOWS", 1)
-    monkeypatch.setattr(cpsq.windows, "_sorted_values", recording)
+    monkeypatch.setattr(cpsq.windows, "_window_values", recording)
     count_sums(10**6, table_small)
     assert sorted(classes) == list(range(24))
     for r, values in classes.items():
@@ -294,7 +293,7 @@ def test_each_class_holds_the_windows_of_its_residue(table_small, monkeypatch):
 
 
 def test_split_with_more_threads_than_cpus_sorts_each_class_once(table_small, monkeypatch):
-    real = cpsq.windows._sorted_values
+    real = cpsq.windows._window_values
     sorted_classes = []  # list.append is atomic, unlike a Counter's +=
 
     def counting(counts, table, residue=None, heads=None):
@@ -304,7 +303,7 @@ def test_split_with_more_threads_than_cpus_sorts_each_class_once(table_small, mo
     expected = count_sums(10**8, table_small).distinct_count  # one piece
     monkeypatch.setattr(cpsq.windows, "SPLIT_WINDOWS", 1)
     monkeypatch.setattr(cpsq.windows, "_workers", lambda: 24)
-    monkeypatch.setattr(cpsq.windows, "_sorted_values", counting)
+    monkeypatch.setattr(cpsq.windows, "_window_values", counting)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -364,7 +363,7 @@ def test_values_up_to_and_small_counts_start_no_thread(table_small, monkeypatch,
 
 
 def test_an_error_in_one_class_reaches_the_caller(table_small, monkeypatch):
-    real = cpsq.windows._sorted_values
+    real = cpsq.windows._window_values
 
     def failing(counts, table, residue=None, heads=None):
         if residue == 5:
@@ -372,7 +371,7 @@ def test_an_error_in_one_class_reaches_the_caller(table_small, monkeypatch):
         return real(counts, table, residue, heads)
 
     monkeypatch.setattr(cpsq.windows, "SPLIT_WINDOWS", 1)
-    monkeypatch.setattr(cpsq.windows, "_sorted_values", failing)
+    monkeypatch.setattr(cpsq.windows, "_window_values", failing)
     before = threading.active_count()
     for workers in (1, 2, 3):
         monkeypatch.setattr(cpsq.windows, "_workers", lambda: workers)
@@ -592,11 +591,16 @@ uint64_draws = st.one_of(
 @given(st.lists(uint64_draws, max_size=200))
 @example([0, 0x7FF0000000000001])  # a NaN the float sort would rewrite
 @example([2**63, 1, 0])
+@example([])
+@example([7])
+@example([5, 3, 5, 5, 0x7FF0000000000001, 0x7FF0000000000001])
 @settings(max_examples=300)
 def test_dedup_sort_is_the_integer_order(values):
     got = np.array(values, dtype=np.uint64)
-    cpsq.windows._sort(got)
-    assert np.array_equal(got, np.sort(np.array(values, dtype=np.uint64)))
+    repeats = cpsq.windows._sort(got)
+    expected = np.sort(np.array(values, dtype=np.uint64))
+    assert np.array_equal(got, expected)
+    assert np.array_equal(repeats, np.flatnonzero(np.diff(expected) == 0) + 1)
 
 
 def test_dedup_sort_mends_a_float_order_that_is_not_the_integer_order(monkeypatch):
@@ -609,6 +613,20 @@ def test_dedup_sort_mends_a_float_order_that_is_not_the_integer_order(monkeypatc
     expected = np.sort(values)
     cpsq.windows._sort(values)
     assert np.array_equal(values, expected)
+
+
+def test_dedup_sort_finds_the_repeats_after_mending_a_float_order(monkeypatch):
+    # the float order steps down from 7 to 2 between two repeats (7, 7 and
+    # 3, 3): taking every value at most the one before it for a repeat
+    # gives [2, 3, 5], where the integer order has its repeats at [3, 5]
+    def with_a_step_down(values):
+        values[:] = [1, 7, 7, 2, 3, 3]
+
+    monkeypatch.setattr(cpsq.windows, "_sort_as_doubles", with_a_step_down)
+    values = np.array([3, 7, 2, 3, 1, 7], dtype=np.uint64)
+    repeats = cpsq.windows._sort(values)
+    assert values.tolist() == [1, 2, 3, 3, 7, 7]
+    assert repeats.tolist() == [3, 5]
 
 
 def test_dedup_sort_skips_doubles_where_denormals_compare_as_zero(monkeypatch):
