@@ -94,14 +94,20 @@ def _integer_arg(text: str) -> int:
 
 
 def _grid_arg(text: str) -> tuple[int, ...]:
+    parts = [part for part in text.split(",") if part]
     try:
-        grid = tuple(_integer_arg(part) for part in text.split(",") if part)
+        grid = tuple(_integer_arg(part) for part in parts)
     except argparse.ArgumentTypeError:
         grid = ()
     if not grid:
         raise argparse.ArgumentTypeError(
             f"grid must be comma-separated integers, got {_named(text)}"
         )
+    for part, x in zip(parts, grid):
+        if x < 2:
+            raise argparse.ArgumentTypeError(
+                f"grid entries must be at least 2, got {_named(part)}"
+            )
     return grid
 
 

@@ -8,10 +8,10 @@ in declaration order and mappings keep their (ascending) insertion order.
 
 Value lists (``write_values``) skip the per-value Python objects: a sorted
 uint64 array is turned into ASCII bytes by numpy, 2^16 values at a time,
-storing each 4-digit group straight into its place in the output, on up to
-one thread per CPU with scratch reused from chunk to chunk, and written
-chunk by chunk in order to a binary stream, from output buffers reused once
-written.
+storing each 4-digit group straight into its place in the output. The
+chunks are dealt in fixed stripes to up to one thread per CPU, the writing
+thread's among them, with scratch reused from chunk to chunk, and written
+in order to a binary stream, from output buffers reused once written.
 """
 
 from __future__ import annotations
@@ -266,10 +266,11 @@ def write_values(values: np.ndarray, fmt: str, out: BinaryIO) -> None:
 
     text is one value a line, csv the same under a ``value`` header, json
     exactly ``json.dumps(list(values))`` and a newline. Values are rendered
-    VALUE_CHUNK at a time on up to windows._workers() threads, at most two
-    rendered chunks a thread ahead of the writing, and written in order by
-    the calling thread, one ``write`` of a uint8 array a chunk; no Python
-    object is made per value.
+    VALUE_CHUNK at a time in windows._thread_map's fixed stripes: the
+    calling thread renders every w-th chunk and writes every chunk in
+    order, one ``write`` of a uint8 array a chunk, and each of the other
+    w - 1 threads holds at most two rendered chunks not yet written, w up
+    to windows._workers(); no Python object is made per value.
 
     Each thread renders into scratch of its own, 20 bytes a value, and each
     chunk into a buffer that an earlier chunk was written from, so the

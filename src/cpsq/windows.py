@@ -20,13 +20,16 @@ strictly increasing in m. Those two monotonicities drive everything here:
 * past SPLIT_WINDOWS windows, count_sums dedups 24 residue classes apart,
   on a few threads: p^2 = 1 (mod 24) for every prime p >= 5, so a window
   (n, m) with n >= 3 has value = m (mod 24) and equal values share a class
-  of value mod 24. Each class is a cache-sized sort of its own, and only
-  as many class buffers as threads are live at once.
+  of value mod 24. Each class is a cache-sized sort of its own, and each
+  thread holds one class buffer at a time.
 * values_up_to needs one ascending array instead: past SPLIT_WINDOWS it
   partitions its one value buffer in place at evenly spaced ranks into
   bands, every value of a band at most every value of the next, sorts the
-  bands and finds their repeats with _sort on a few threads, and closes up
-  the repeats inside the buffer.
+  bands and finds their repeats with _sort, one band a thread, and closes
+  up the repeats inside the buffer.
+
+Both split on _thread_map: fixed stripes of items, the calling thread's
+first, whose results come back in item order, two at most a thread ahead.
 
 Prefix sums are held mod 2^64, so a difference is a window's true value
 only below 2^64; the walk states why its probes stay there.
@@ -203,86 +206,58 @@ def _thread_map(
     items: Sequence[_T],
     consume: Callable[[_R], object],
     threads: int | None = None,
-    ahead: int = 2,
 ) -> None:
     """Run ``task`` on every item on up to ``threads`` threads (default
-    _workers()): the calling thread and daemon threads, none started for
-    one thread or one item. ``consume`` gets the results on the calling
-    thread in item order. A task starts only while fewer than ``ahead``
-    results a thread are started and not yet consumed, so that many
-    results at most are held at once, plus the one being consumed.
+    _workers()) in fixed stripes: of every ``threads`` items in a row the
+    calling thread runs the first and daemon thread t the t-th; none is
+    started for one thread or one item. ``consume`` gets the results on
+    the calling thread in item order. A daemon thread hands its results
+    over through a queue of one, so it holds at most two not yet consumed.
 
     Every thread has ended when this returns or raises. An exception in a
-    task stops the tasks not yet started and is raised here once the
-    results before it are consumed, the first in item order if several
-    fail; an exception in ``consume`` stops them too and is raised as is.
+    task ends its stripe and is raised here once the results before it are
+    consumed, the first in item order if several fail; an exception in
+    ``consume`` is raised as is. Either stops every stripe.
     """
+    import queue  # here, so that importing cpsq never loads it
+
     threads = max(1, min(_workers() if threads is None else threads, len(items)))
-    limit = ahead * threads
-    results: dict[int, _R] = {}
-    errors: dict[int, BaseException] = {}
-    cond = threading.Condition()
-    started = consumed = 0
-    closed = False
+    stop = threading.Event()
+    handoffs = [queue.Queue(1) for _ in range(threads - 1)]
 
-    def claim() -> int | None:
-        """The next item to run, if one may start now; called under cond."""
-        nonlocal started
-        if closed or errors or started == len(items) or started >= consumed + limit:
-            return None
-        started += 1
-        return started - 1
-
-    def run(i: int) -> None:
-        try:
-            result = task(items[i])
-        except BaseException as exc:  # re-raised by the calling thread
-            with cond:
-                errors[i] = exc
-                cond.notify_all()
-        else:
-            with cond:
-                results[i] = result
-                cond.notify_all()
-
-    def work() -> None:
-        while True:
-            with cond:
-                while (i := claim()) is None:
-                    if closed or errors or started == len(items):
-                        return
-                    cond.wait()  # for room ahead
-            run(i)
+    def stripe(t: int, handoff: queue.Queue) -> None:
+        for i in range(t, len(items), threads):
+            if stop.is_set():
+                return
+            try:
+                handoff.put((task(items[i]), None))
+            except BaseException as exc:  # re-raised by the calling thread
+                handoff.put((None, exc))
+                return
 
     workers: list[threading.Thread] = []
     try:
-        for _ in range(threads - 1):
+        for t in range(1, threads):
             # daemon: an interrupt that ends the joins early must not leave
             # the interpreter waiting at exit for the remaining tasks
-            workers.append(threading.Thread(target=work, daemon=True))
-            workers[-1].start()
-        for i in range(len(items)):
-            while True:
-                with cond:
-                    if i in errors:
-                        raise errors[i]
-                    if i in results:
-                        result = results.pop(i)
-                        consumed += 1
-                        cond.notify_all()
-                        break
-                    # item i is running elsewhere; help with a later one
-                    j = claim()
-                    if j is None:
-                        cond.wait()
-                        continue
-                run(j)
+            worker = threading.Thread(target=stripe, args=(t, handoffs[t - 1]), daemon=True)
+            worker.start()
+            workers.append(worker)
+        for i, item in enumerate(items):
+            if i % threads:
+                result, error = handoffs[i % threads - 1].get()
+                if error is not None:
+                    raise error
+            else:
+                result = task(item)
             consume(result)
             del result  # not held while the next result is awaited or made
     finally:
-        with cond:
-            closed = True
-            cond.notify_all()
+        stop.set()
+        # once stop is set, a stripe puts at most once more: make room for it
+        for handoff in handoffs:
+            if handoff.full():
+                handoff.get_nowait()
         for worker in workers:
             worker.join()
 
@@ -401,7 +376,7 @@ def _distinct_by_class(counts: list[int], table: PrimeTable) -> int:
 
     found: list[int] = []
     largest_first = np.argsort(sizes)[::-1].tolist()
-    _thread_map(distinct, largest_first, found.append, workers, ahead=_CLASSES)
+    _thread_map(distinct, largest_first, found.append, workers)
     return sum(found)
 
 

@@ -1,6 +1,7 @@
 """Shared fixtures. The sieved tables are built once per session."""
 
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -24,3 +25,12 @@ def table_small() -> PrimeTable:
 def table_big() -> PrimeTable:
     """Primes to 10^6, enough for window queries up to x = 10^12."""
     return sieve_primes(10**6)
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fails a test that leaves a thread running that it did not find running."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before]
+    assert not left, f"threads left running: {left}"

@@ -240,6 +240,15 @@ def test_non_positive_argument_exits_2_with_one_line(capsys, command, value):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("grid", ["-5", "0", "1", "289,-5"])
+def test_a_grid_entry_below_2_exits_2_naming_it(capsys, grid):
+    code, out, err = run_cli(capsys, "verify", "--grid", grid)
+    assert code == 2 and out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert errors == [err.splitlines()[-1]]
+    assert errors[0].endswith(f"at least 2, got {grid.split(',')[-1]!r}")
+
+
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
@@ -547,7 +556,8 @@ def test_an_output_that_cannot_be_written_exits_3(sink, argv, tmp_path):
 
 
 # x past a float's range (1.8e308), x whose window cap needs primes past
-# MAX_LIMIT, a shorthand too long to build in seconds, and an empty grid:
+# MAX_LIMIT, a shorthand too long to build in seconds, and an empty grid
+# or one below 2:
 # each is refused in well under the timeout, with one short error line that
 # gives a huge number as its digit count
 @pytest.mark.parametrize(
@@ -562,6 +572,7 @@ def test_an_output_that_cannot_be_written_exits_3(sink, argv, tmp_path):
         (["count", "9^9999999"], 2),
         (["verify", "--grid", ","], 2),
         (["verify", "--grid", ""], 2),
+        (["verify", "--grid", "-5"], 2),
         (["count", "10^4299"], 3),
         (["maxlen", "10^4299"], 3),
         (["count", "1" + "0" * 5000], 2),

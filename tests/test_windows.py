@@ -420,6 +420,129 @@ def test_split_refuses_on_the_classes_held_at_once(table_small, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# _thread_map on its own: fixed stripes, results in item order, at most two
+# results a daemon thread not yet consumed, errors in item order
+# ---------------------------------------------------------------------------
+
+#: the Thread class itself, which thread_census replaces in threading
+UNCOUNTED_THREAD = threading.Thread
+
+
+def thread_map(task, items, consume, threads):
+    """_thread_map called from a thread of its own, so that a hang fails the
+    test in 10 s rather than stopping the suite; re-raises what it raised
+    and returns the id of the thread that called it."""
+    outcome = {}
+
+    def call():
+        outcome["caller"] = threading.get_ident()
+        try:
+            cpsq.windows._thread_map(task, items, consume, threads)
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    runner = UNCOUNTED_THREAD(target=call, daemon=True)
+    runner.start()
+    runner.join(10)
+    assert not runner.is_alive(), "_thread_map has not returned after 10 s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["caller"]
+
+
+def test_thread_map_runs_fixed_stripes_and_consumes_in_item_order(thread_census):
+    for threads in (1, 2, 3, 5):
+        ran_on = {}
+        thread_census.started = 0
+
+        def task(i):
+            ran_on[i] = threading.get_ident()
+            threading.Event().wait(1e-4 * (i * 7 % 5))  # finish out of order
+            return i * i
+
+        got = []
+        caller = thread_map(task, range(100), got.append, threads)
+        assert got == [i * i for i in range(100)]
+        # item i runs on stripe i % threads; stripe 0 is the calling thread's
+        stripes = [{ran_on[i] for i in range(t, 100, threads)} for t in range(threads)]
+        assert stripes[0] == {caller}
+        assert all(len(s) == 1 for s in stripes)
+        assert len(set().union(*stripes)) == threads
+        assert thread_census.started == threads - 1
+
+
+def test_thread_map_holds_at_most_two_results_a_daemon_thread():
+    # counted as each task starts: the items of its stripe that have started
+    # past the one the calling thread has reached, which it may already hold
+    threads, lock = 3, threading.Lock()
+    started, reached, most = [], [0], [0] * threads
+
+    def task(i):
+        with lock:
+            started.append(i)
+            ahead = [j for j in started if j % threads == i % threads and j > reached[0]]
+            most[i % threads] = max(most[i % threads], len(ahead))
+        return i
+
+    def consume(i):
+        with lock:
+            reached[0] = i + 1
+        threading.Event().wait(0.002)  # slow, so the stripes run ahead
+
+    thread_map(task, range(60), consume, threads)
+    assert sorted(started) == list(range(60))
+    assert max(most[1:]) <= 2, most
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, 4])
+def test_thread_map_raises_the_first_error_after_the_results_before_it(threads):
+    before = threading.active_count()
+    for k in range(8):
+        def task(i):
+            if i == k:
+                threading.Event().wait(0.01)  # fails after item k + 1 does
+                raise ValueError(f"item {i}")
+            if i == k + 1:
+                raise KeyError(f"item {i}")
+            return i
+
+        got = []
+        with pytest.raises(ValueError, match=f"item {k}$"):
+            thread_map(task, range(20), got.append, threads)
+        assert got == list(range(k))
+        assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_thread_map_raises_an_error_in_consume_and_stops_the_stripes(threads):
+    before = threading.active_count()
+    started = []
+
+    def consume(i):
+        if i == 4:
+            raise KeyError("consume 4")
+
+    def task(i):
+        started.append(i)
+        return i
+
+    with pytest.raises(KeyError, match="consume 4"):
+        thread_map(task, range(1000), consume, threads)
+    # items 0..4, and at most two past item 4 a daemon thread
+    assert len(started) <= 5 + 2 * (threads - 1), started
+    assert threading.active_count() == before
+
+
+def test_thread_map_starts_no_thread_for_one_item_or_one_thread(monkeypatch, thread_census):
+    monkeypatch.setattr(cpsq.windows, "_workers", lambda: 4)
+    for items, threads in (([7], None), ([7], 4), (range(10), 1), ([], 4)):
+        got = []
+        thread_map(lambda i: -i, items, got.append, threads)
+        assert got == [-i for i in items]
+    assert thread_census.started == 0
+
+
+# ---------------------------------------------------------------------------
 # the dedup past the first repeated value: every window value below
 # 14,720,439 is distinct, so only past it can a dedup that splits equal
 # values apart miss the distinct count
