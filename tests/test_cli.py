@@ -572,10 +572,10 @@ def test_an_output_that_cannot_be_written_exits_3(sink, argv, tmp_path):
         (["count", "9^9999999"], 2),
         (["verify", "--grid", ","], 2),
         (["verify", "--grid", ""], 2),
-        (["verify", "--grid", "-5"], 2),
         (["count", "10^4299"], 3),
         (["maxlen", "10^4299"], 3),
         (["count", "1" + "0" * 5000], 2),
+        (["verify", "--grid", "-5"], 2),
     ],
 )
 def test_huge_and_empty_arguments_get_their_code_at_once(argv, code, tmp_path):
