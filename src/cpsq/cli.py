@@ -1,8 +1,9 @@
 """Command line front end.
 
 Subcommands: count, list, find, maxlen, verify, table-check. Results go to
-stdout in text (default), JSON, or CSV; diagnostics go to stderr. ``list``
-writes ASCII bytes with "\n" line ends to stdout's binary layer. Exit
+stdout in text (default), JSON, or CSV; diagnostics go to stderr. Every
+command writes ASCII bytes with "\n" line ends to stdout's binary layer,
+whatever stdout's encoding, and ends its output with one newline. Exit
 codes: 0 success / all checks pass, 1 a bound check failed, 2 bad usage or
 argument values, 3 a resource refusal (sieve request too large) or an
 output that cannot be written (a full disk, a stdout not open for writing).
@@ -27,10 +28,8 @@ import os
 import re
 import sys
 from dataclasses import dataclass
-from functools import partial
 from math import isqrt, log10
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -223,8 +222,9 @@ def provision_table(needed_limit: int, config: CliConfig) -> PrimeTable:
 # command handlers
 # ---------------------------------------------------------------------------
 
-#: what a handler decided: the exit code, and the call that writes its output
-_Outcome = tuple[int, Callable[[], object]]
+#: what a handler decided: the exit code, and its output, the finished text
+#: or the values that ``list`` writes
+_Outcome = tuple[int, "str | np.ndarray"]
 
 
 def _cmd_count(config: CliConfig) -> _Outcome:
@@ -232,21 +232,19 @@ def _cmd_count(config: CliConfig) -> _Outcome:
     table = provision_table(isqrt(x), config)
     if config.format == "text" and config.count_mode == "multiplicity":
         # the number of windows needs the walk only, no dedup
-        return 0, partial(print, f"x={x} multiplicity={sum(count_windows(x, table))}")
+        return 0, f"x={x} multiplicity={sum(count_windows(x, table))}"
     report = count_sums(x, table)
     if config.format == "text" and config.count_mode == "distinct":
         text = f"x={report.x} distinct={report.distinct_count}"
     else:
         text = serialize_report([report], config.format)
-    return 0, partial(print, text)
+    return 0, text
 
 
 def _cmd_list(config: CliConfig) -> _Outcome:
     x = config.x_or_target
     table = provision_table(isqrt(x), config)
-    values = values_up_to(x, table)
-    # stdout is read when run writes, which it skips when there is none
-    return 0, lambda: write_values(values, config.format, sys.stdout.buffer)
+    return 0, values_up_to(x, table)
 
 
 def _cmd_find(config: CliConfig) -> _Outcome:
@@ -254,17 +252,17 @@ def _cmd_find(config: CliConfig) -> _Outcome:
     table = provision_table(isqrt(target), config)
     reps = find_representations(target, table)
     if config.format != "text":
-        return 0, partial(print, serialize_report(reps, config.format))
+        return 0, serialize_report(reps, config.format)
     lines = []
     for rep in reps:
         run = table.primes[rep.start_index - 1 : rep.start_index - 1 + rep.length]
         lines.append(f"{target} = " + " + ".join(f"{int(p)}^2" for p in run))
-    return 0, partial(print, "\n".join(lines) or "no representation")
+    return 0, "\n".join(lines) or "no representation"
 
 
 def _cmd_maxlen(config: CliConfig) -> _Outcome:
     cap = analytic_max_window(config.x_or_target)
-    return 0, partial(print, serialize_report([cap], config.format))
+    return 0, serialize_report([cap], config.format)
 
 
 def _cmd_verify(config: CliConfig) -> _Outcome:
@@ -281,7 +279,7 @@ def _cmd_verify(config: CliConfig) -> _Outcome:
             f"\n{len(reports)} checks, {len(failed)} failures"
             + ("" if failed else " (all pass)")
         )
-    return (1 if failed else 0), partial(print, text)
+    return (1 if failed else 0), text
 
 
 def _cmd_table_check(config: CliConfig) -> _Outcome:
@@ -314,7 +312,7 @@ def _cmd_table_check(config: CliConfig) -> _Outcome:
             f"table-check: FAIL (expected {len(expected)} values, "
             f"computed {len(computed)}; first differences: {diffs[:5]})"
         )
-    return (0 if passed else 1), partial(print, text)
+    return (0 if passed else 1), text
 
 
 _HANDLERS = {
@@ -328,31 +326,29 @@ _HANDLERS = {
 
 
 def run(config: CliConfig) -> int:
-    """Dispatch one parsed invocation and map failures to exit codes."""
+    """Dispatch one parsed invocation, write its output, map failures to exit codes."""
     try:
         x = config.x_or_target
         if x is not None and x < 1:
             raise ValueError(f"{config.command} needs a positive integer, got {brief(x)}")
-        code, write = _HANDLERS[config.command](config)
+        code, output = _HANDLERS[config.command](config)
     except (ResourceLimitError, ValueError) as exc:
         _to_stderr(f"error: {exc}")
         return 3 if isinstance(exc, ResourceLimitError) else 2
-    if sys.stdout is None:
-        return code  # fd 1 was closed at the start: the output goes nowhere
+    out = sys.stdout.buffer
     try:
-        write()
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader closed stdout: what is left of the output, and the
-        # flush at exit, go to the null device, and the exit code stands
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if isinstance(output, str):
+            out.write(output.encode("ascii") + b"\n")
+        else:
+            write_values(output, config.format, out)
+        out.flush()
     except OSError as exc:
-        # a full disk or a stdout not open for writing: the flush at exit
-        # goes to the null device too, since one that fails there would
-        # end the process with code 120
-        _to_stderr(f"error: cannot write the output: {exc}")
+        # the rest of the output, and the flush at exit (which would end the
+        # process with code 120), go to the null device
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 3
+        if not isinstance(exc, BrokenPipeError):  # a closed pipe keeps the code
+            _to_stderr(f"error: cannot write the output: {exc}")
+            return 3
     return code
 
 
@@ -360,8 +356,11 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         # what the imports built lives until exit; frozen, the collector skips it
         gc.freeze()
+    # an fd 1 or 2 closed at the start gets the null device, which takes
+    # the output or the diagnostics that would go there
+    if sys.stdout is None:
+        sys.stdout = open(os.devnull, "w")
     if sys.stderr is None:
-        # fd 2 was closed at the start; print and argparse would use stdout
         sys.stderr = open(os.devnull, "w")
     try:
         config = parse_args(argv)

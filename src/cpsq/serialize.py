@@ -131,7 +131,7 @@ def to_csv(records: Sequence[Record]) -> str:
     writer.writerow(names)
     for r in records:
         writer.writerow([_cell(getattr(r, name)) for name in names])
-    return out.getvalue()
+    return out.getvalue().removesuffix("\n")  # no newline after the last row
 
 
 def _text_line(record: Record) -> str:
@@ -150,16 +150,6 @@ def _text_line(record: Record) -> str:
             f"multiplicity={record.multiplicity_count} "
             f"max_length={record.max_length_seen} per_length={lengths}"
         )
-    if isinstance(record, Representation):
-        return (
-            f"start_index={record.start_index} length={record.length} "
-            f"value={record.value}"
-        )
-    if isinstance(record, WindowCap):
-        return (
-            f"x={record.x} analytic_m={record.analytic_m} "
-            f"exact_m={record.exact_m}"
-        )
     if isinstance(record, DusartCheck):
         return (
             f"N={record.n} {record.lower_value:.6g} < pi={record.pi_value} "
@@ -167,7 +157,8 @@ def _text_line(record: Record) -> str:
             f"(lower from N>=17: {str(record.lower_applicable).lower()}) "
             f"passed={str(record.passed).lower()}"
         )
-    raise TypeError(f"not a report record: {record!r}")
+    # any other record: name=value a field (record_to_dict refuses a non-record)
+    return " ".join(f"{k}={v}" for k, v in record_to_dict(record).items())
 
 
 def to_text(records: Iterable[Record]) -> str:

@@ -49,8 +49,8 @@ def run_cli(capsys, *argv):
 
 def binary_stdout():
     """A stdout with a binary layer under its text layer, as a process's
-    own has: ``list`` writes to the one, the other commands print to the
-    other, and ``.buffer.getvalue()`` reads back both."""
+    own has: every command writes to the binary layer, and
+    ``.buffer.getvalue()`` reads it back."""
     return io.TextIOWrapper(io.BytesIO(), encoding="utf-8", write_through=True)
 
 
@@ -119,6 +119,41 @@ def test_list_writes_ascii_whatever_the_stdout_encoding(table_small, fmt, tmp_pa
     assert proc.returncode == 0, proc.stderr
     values = distinct_values(10**6, table_small)
     assert proc.stdout == printed_values(values, fmt).encode("ascii")
+
+
+def cli_bytes(argv):
+    """What main writes for argv, run in this process."""
+    out = binary_stdout()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.buffer.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize(
+    "command", ["count 100", "find 2020", "maxlen 5000", "verify --grid 289", "table-check"]
+)
+def test_every_command_writes_ascii_whatever_the_stdout_encoding(command, fmt, tmp_path):
+    argv = [*command.split(), "--format", fmt]
+    proc = subprocess.run(
+        [sys.executable, "-m", "cpsq.cli", *argv],
+        capture_output=True, env=dict(cli_env(tmp_path), PYTHONIOENCODING="utf-16"),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == cli_bytes(argv)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+@pytest.mark.parametrize(
+    "command",
+    ["count 100", "list 1000", "find 2020", "find 3", "maxlen 5000", "verify --grid 289",
+     "table-check"],
+)
+def test_every_output_is_ascii_and_ends_with_one_newline(command, fmt):
+    out = cli_bytes([*command.split(), "--format", fmt])
+    out.decode("ascii")
+    assert out.endswith(b"\n") and b"\n\n" not in out
 
 
 def test_count_modes(capsys):

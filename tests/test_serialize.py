@@ -80,6 +80,8 @@ def test_json_round_trip_remaining_records():
 def test_record_to_dict_rejects_non_records():
     with pytest.raises(TypeError):
         record_to_dict({"not": "a record"})
+    with pytest.raises(TypeError):
+        to_text([{"not": "a record"}])
 
 
 def test_csv_header_and_cells():

@@ -322,6 +322,27 @@ def test_split_counts_at_1e12_and_1e13(table_big):
     assert (report.distinct_count, report.multiplicity_count) == (37_153_148, 37_153_225)
 
 
+def test_every_repeat_at_1e12_is_re_derived_in_exact_integers(table_big):
+    # the repeats _sort finds, one per repeated value, each found again as
+    # at least two windows whose prime squares sum to it in Python ints; the
+    # windows past the first add up to the count's repeats, so a dedup that
+    # invents a repeat, or a class split that loses one, fails
+    x = 10**12
+    values = cpsq.windows._window_values(count_windows(x, table_big), table_big)
+    repeated = np.unique(values[cpsq.windows._sort(values)]).tolist()
+    primes = table_big.primes.tolist()
+    extra = 0
+    for v in repeated:
+        reps = find_representations(v, table_big)
+        assert len(reps) >= 2, v
+        for rep in reps:
+            window = primes[rep.start_index - 1 : rep.start_index - 1 + rep.length]
+            assert len(window) == rep.length and sum(p * p for p in window) == v
+        extra += len(reps) - 1
+    report = count_sums(x, table_big)
+    assert extra == report.multiplicity_count - report.distinct_count == 40
+
+
 @pytest.fixture
 def thread_census(monkeypatch):
     """Counts the threads cpsq starts, and the most running at once."""
