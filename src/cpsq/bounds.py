@@ -15,8 +15,9 @@ Supporting checks, each exposed as an operation returning a BoundReport:
 * per-length counting cap: the number of length-m windows below x is at
   most pi(sqrt(x/m)), which Dusart majorizes by 1.2551 sqrt(x/m) over
   (1/2) ln(x/m), i.e. 2.5102 sqrt(x/m)/ln(x/m); the enumerated count, the
-  walk's and never capped, is checked against the pi cap, and both
-  against that majorant. Do not "simplify"
+  walk's and never capped, is checked against the pi cap in exact
+  integers, and the pi cap against that majorant, which then bounds the
+  count as well. Do not "simplify"
   the denominator to ln x: that variant is smaller for every m >= 2 and
   the enumerated count genuinely crosses it (first at x = 10^5, m = 3,
   where 40 windows stand against 39.81).
@@ -50,14 +51,7 @@ from .primes import (
     prime_count,
     sieve_primes,
 )
-from .reports import (
-    FAIL,
-    INCONCLUSIVE,
-    PASS,
-    BoundReport,
-    compare_strict,
-    worst_verdict,
-)
+from .reports import FAIL, INCONCLUSIVE, PASS, BoundReport, compare_strict
 from .windows import count_sums, count_windows, max_window_length
 
 #: the headline lower bound is 2 sqrt(x) / ln x, valid from here on
@@ -145,10 +139,14 @@ def check_length_count_bound(x: int, table: PrimeTable) -> list[BoundReport]:
     one report for every length m the walk finds at x.
 
     Verified links: the walk's count c_m, which nothing caps, is at most
-    pi(floor(sqrt(x/m))) in exact integers, and both c_m and the pi cap
-    stay strictly below the Dusart majorant 2.5102 sqrt(x/m)/ln(x/m). Each
-    report carries the pi cap as lhs, the majorant as rhs, and c_m in
-    ``observed``. Every such m has x >= S_m >= 4m > m, so ln(x/m) > 0.
+    pi(floor(sqrt(x/m))) in exact integers, and the pi cap stays strictly
+    below the Dusart majorant 2.5102 sqrt(x/m)/ln(x/m). The first link
+    carries the second over to c_m: both are integers below 2^53, so
+    floats hold them exactly, and compare_strict's margin only grows with
+    the larger operand, so c_m <= pi cap never gets a worse verdict against
+    the majorant than the pi cap does. Each report carries the pi cap as
+    lhs, the majorant as rhs, and c_m in ``observed``. Every such m has
+    x >= S_m >= 4m > m, so ln(x/m) > 0.
 
     A seemingly harmless weakening replaces ln(x/m) by ln x in the
     denominator. The resulting quantity is not a majorant of the count
@@ -161,13 +159,7 @@ def check_length_count_bound(x: int, table: PrimeTable) -> list[BoundReport]:
         pi_cap = prime_count(isqrt(x // m), table)
         ratio = x / m
         majorant = PER_LENGTH_COEFF * math.sqrt(ratio) / log(ratio)
-        if observed > pi_cap:
-            verdict = FAIL
-        else:
-            verdict = worst_verdict(
-                compare_strict(observed, majorant),
-                compare_strict(pi_cap, majorant),
-            )
+        verdict = FAIL if observed > pi_cap else compare_strict(pi_cap, majorant)
         reports.append(
             BoundReport(
                 label=f"length-count-bound[m={m}]",
@@ -244,11 +236,13 @@ def check_partial_sum(m_cap: int, alpha: float) -> BoundReport:
 def check_weighted_square(m_cap: int) -> BoundReport:
     """sum_{2<=n<=M} (n ln n)^2 >= M^3 (ln M)^2 / 12 for M >= 4.
 
-    The chain behind it is verified step by step: restricting the sum to
-    n >= ceil(sqrt(M)) can only shrink it; on that tail ln n >= ln(M)/2, so
-    the tail dominates (ln(M)/2)^2 * sum n^2; and the square-pyramid
-    identity gives sum_{ceil(sqrt M)<=n<=M} n^2 >= M^3/3, checked in exact
-    integers. M < 4 would put the cutoff below 2 and is rejected.
+    The chain behind it: restricting the sum to n >= ceil(sqrt(M)) can only
+    shrink it, which holds by construction, since the tail sums a subset of
+    the same non-negative terms and fsum rounds each sum correctly; on that
+    tail ln n >= ln(M)/2, so the tail dominates (ln(M)/2)^2 * sum n^2,
+    which is checked; and the square-pyramid identity gives
+    sum_{ceil(sqrt M)<=n<=M} n^2 >= M^3/3, checked in exact integers.
+    M < 4 would put the cutoff below 2 and is rejected.
     """
     m_cap = int(m_cap)
     if m_cap < 4:
@@ -262,8 +256,7 @@ def check_weighted_square(m_cap: int) -> BoundReport:
     halved = (0.5 * log_m) ** 2 * sq_tail
     rhs = m_cap**3 * log_m**2 / 12.0
     links_hold = (
-        compare_strict(tail, full) != FAIL  # tail <= full, up to the margin
-        and compare_strict(halved, tail) != FAIL
+        compare_strict(halved, tail) != FAIL
         and 3 * sq_tail >= m_cap**3  # exact-integer form of halved >= rhs
     )
     verdict = compare_strict(rhs, full) if links_hold else FAIL

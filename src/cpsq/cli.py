@@ -16,7 +16,9 @@ worth the file and are recomputed instead.
 A reader that closes stdout early (``cpsq list 1e10 | head``) ends the
 output quietly: the command keeps the exit code it had already decided.
 So does a stdout or stderr closed at the start (``cpsq list 100 >&-``):
-what would go there is lost, and no diagnostic falls back to stdout.
+what would go there is lost, and no diagnostic falls back to stdout. A
+stderr that cannot be written (``2>/dev/full``) loses its lines, not the
+exit code.
 """
 
 from __future__ import annotations
@@ -341,15 +343,20 @@ def run(config: CliConfig) -> int:
             out.write(output.encode("ascii") + b"\n")
         else:
             write_values(output, config.format, out)
-        out.flush()
     except OSError as exc:
-        # the rest of the output, and the flush at exit (which would end the
-        # process with code 120), go to the null device
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        if not isinstance(exc, BrokenPipeError):  # a closed pipe keeps the code
-            _to_stderr(f"error: cannot write the output: {exc}")
-            return 3
+        return _unwritable(sys.stdout, exc, code)
     return code
+
+
+def _unwritable(stream, exc: OSError, code: int) -> int:
+    """Give ``stream``'s fd the null device after ``exc``, so that the rest,
+    the flush at exit included, cannot fail again (exit code 120). Only a
+    stdout not closed by its reader changes the code: 3, with one error line."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+    if stream is sys.stderr or isinstance(exc, BrokenPipeError):
+        return code
+    _to_stderr(f"error: cannot write the output: {exc}")
+    return 3
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -363,11 +370,17 @@ def main(argv: list[str] | None = None) -> int:
     if sys.stderr is None:
         sys.stderr = open(os.devnull, "w")
     try:
-        config = parse_args(argv)
+        code = run(parse_args(argv))
     except SystemExit as exc:
         # argparse has already printed usage/help; keep its exit code
-        return int(exc.code or 0)
-    return run(config)
+        code = int(exc.code or 0)
+    # the one flush: the output, argparse's help, what a failed write left
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError as exc:
+            code = _unwritable(stream, exc, code)
+    return code
 
 
 if __name__ == "__main__":

@@ -52,15 +52,6 @@ def compare_strict(lhs: float, rhs: float) -> str:
     return INCONCLUSIVE
 
 
-def worst_verdict(*verdicts: str) -> str:
-    """Combine verdicts of several links: any fail fails, else any doubt."""
-    if FAIL in verdicts:
-        return FAIL
-    if INCONCLUSIVE in verdicts:
-        return INCONCLUSIVE
-    return PASS
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """Outcome of one inequality check.

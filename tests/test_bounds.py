@@ -4,7 +4,7 @@ import math
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cpsq.bounds
@@ -33,7 +33,7 @@ from cpsq import (
 )
 from cpsq.cli import main
 from cpsq.primes import MAX_LIMIT
-from cpsq.reports import FAIL, PASS
+from cpsq.reports import FAIL, INCONCLUSIVE, PASS, compare_strict
 from oracles import (
     reference_check_weighted_square,
     reference_check_window_cap_substitution,
@@ -209,6 +209,33 @@ def test_length_count_bound_random_points(table_small, x):
         assert r.observed <= r.lhs < r.rhs
 
 
+@st.composite
+def counts_and_majorant(draw):
+    """Integers 0 <= c <= p < 2^53 and a finite M > 0, often a few ulps from
+    c, from p, or from the edges of compare_strict's margin around them."""
+    p = draw(st.integers(0, 2**53 - 1))
+    c = draw(st.integers(0, p) | st.integers(max(p - 3, 0), p))
+    near = draw(st.sampled_from([c, p])) * draw(st.sampled_from([1.0, 1 - 1e-12, 1 + 1e-12]))
+    m = draw(st.just(near) | st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    steps = draw(st.integers(-4, 4))
+    for _ in range(abs(steps)):
+        m = math.nextafter(m, math.copysign(math.inf, steps))
+    assume(0.0 < m < math.inf)
+    return c, p, m
+
+
+@given(counts_and_majorant())
+@settings(max_examples=1000)
+def test_the_pi_cap_compare_decides_the_count_compare(case):
+    # check_length_count_bound compares only the pi cap p with the majorant
+    # M once c <= p holds; comparing c with M as well never changes the
+    # verdict (c > p fails before either compare)
+    c, p, m = case
+    both = {compare_strict(c, m), compare_strict(p, m)}
+    worst = FAIL if FAIL in both else INCONCLUSIVE if INCONCLUSIVE in both else PASS
+    assert compare_strict(p, m) == worst, (c, p, m)
+
+
 # ---------------------------------------------------------------------------
 # lemma checks
 # ---------------------------------------------------------------------------
@@ -279,6 +306,14 @@ def test_weighted_square_tail_starts_at_the_sqrt_cutoff(m_cap, monkeypatch):
     assert len(tail) == m_cap - cut + 1
     assert tail == full[cut - 2 :]
     assert tail[0] == (cut * math.log(cut)) ** 2
+
+
+@given(st.lists(st.floats(min_value=0.0, max_value=2.0**1017), max_size=64))
+def test_a_tail_of_non_negative_terms_never_sums_past_the_whole(terms):
+    # why check_weighted_square need not compare its tail with the full sum:
+    # the tail's exact sum is no larger, and fsum rounds both correctly
+    full = math.fsum(terms)  # at most 2^1023, finite
+    assert all(math.fsum(terms[k:]) <= full for k in range(len(terms) + 1))
 
 
 @given(st.integers(min_value=0, max_value=5000))

@@ -464,11 +464,12 @@ def test_every_argv_gets_one_exit_code_of_the_contract(argv):
 
 
 def cli_env(tmp_path):
-    """The environment for a ``python -m cpsq.cli`` child: this checkout's
-    package first on the path, and a cache of its own."""
+    """The environment for a ``python -m cpsq.cli`` child: no inherited
+    PYTHON* setting (PYTHONUNBUFFERED would hide what buffered streams do),
+    this checkout's package on the path, and a cache of its own."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return dict(os.environ, PYTHONPATH=path, CPSQ_CACHE_DIR=str(tmp_path / "cache"))
+    return dict(env, PYTHONPATH=src, CPSQ_CACHE_DIR=str(tmp_path / "cache"))
 
 
 # every output passes any pipe buffer (5.5 MB, 180 kB, 16 MB and 17 MB),
@@ -588,6 +589,32 @@ def test_an_output_that_cannot_be_written_exits_3(sink, argv, tmp_path):
     assert proc.stderr.startswith("error: cannot write the output: ")
     for marker in ("Traceback", "Exception ignored"):
         assert marker not in proc.stderr
+
+
+# a write that fails leaves its bytes in the stream's buffer, whose flush at
+# exit would end the process with code 120 and "Exception ignored": help on
+# a full stdout, a diagnostic on a full stderr, an output and its error line
+# with both full; a stream not on /dev/full is captured
+@pytest.mark.parametrize(
+    ("argv", "full", "code"),
+    [("--help", "1", 3), ("count 0", "2", 2), ("count", "2", 2), ("count 100", "12", 3)],
+)
+def test_a_full_stdout_or_stderr_gets_the_contract_code(argv, full, code, tmp_path):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    with open("/dev/full", "wb") as sink:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cpsq.cli", *argv.split()],
+            stdout=sink if "1" in full else subprocess.PIPE,
+            stderr=sink if "2" in full else subprocess.PIPE,
+            env=cli_env(tmp_path), timeout=60,
+        )
+    assert proc.returncode == code, proc.stderr
+    if proc.stdout is not None:
+        assert proc.stdout == b""
+    if proc.stderr is not None:
+        assert proc.stderr.startswith(b"error: cannot write the output: ")
+        assert proc.stderr.count(b"\n") == 1 and proc.stderr.endswith(b"\n")
 
 
 # x past a float's range (1.8e308), x whose window cap needs primes past
