@@ -51,13 +51,7 @@ def announce(capsys):
     return _announce
 
 
-@pytest.fixture()
-def cli_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("CPSQ_CACHE_DIR", str(tmp_path / "cache"))
-    return tmp_path
-
-
-def test_criterion_1_reference_table_byte_exact(cli_cache, capsys, announce):
+def test_criterion_1_reference_table_byte_exact(capsys, announce):
     t0 = time.perf_counter()
     code = main(["list", "5000"])
     elapsed = time.perf_counter() - t0
@@ -70,7 +64,7 @@ def test_criterion_1_reference_table_byte_exact(cli_cache, capsys, announce):
     assert elapsed < 0.1
 
 
-def test_criterion_2_named_representations(cli_cache, capsys, table_small, announce):
+def test_criterion_2_named_representations(capsys, table_small, announce):
     reps_2020 = find_representations(2020, table_small)
     reps_2189 = find_representations(2189, table_small)
 
@@ -297,7 +291,7 @@ def test_criterion_8_decomposition(table_big, announce):
     )
 
 
-def test_criterion_9_count_at_1e12(cli_cache, capsys, announce):
+def test_criterion_9_count_at_1e12(capsys, announce):
     t0 = time.perf_counter()
     code = main(["count", "10^12", "--format", "json"])
     elapsed = time.perf_counter() - t0

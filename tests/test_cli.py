@@ -5,7 +5,6 @@ import gc
 import io
 import json
 import os
-import struct
 import subprocess
 import sys
 from math import isqrt
@@ -21,10 +20,8 @@ import cpsq.cli
 import cpsq.primes
 from cpsq import (
     REFERENCE_VALUES,
-    PrimeTable,
     count_sums,
     enumerate_representations,
-    load_table,
     save_table,
     sieve_primes,
 )
@@ -32,13 +29,6 @@ from cpsq.cli import main
 from cpsq.primes import _estimated_output_bytes
 from cpsq.serialize import VALUE_CHUNK
 from oracles import printed_values
-
-
-@pytest.fixture(autouse=True)
-def isolated_cache(tmp_path, monkeypatch):
-    """Keep every test away from the real per-user cache directory."""
-    monkeypatch.setenv("CPSQ_CACHE_DIR", str(tmp_path / "cache"))
-    return tmp_path
 
 
 def run_cli(capsys, *argv):
@@ -108,12 +98,12 @@ def test_list_property_matches_printing_each_value(table_small, x, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
-def test_list_writes_ascii_whatever_the_stdout_encoding(table_small, fmt, tmp_path):
+def test_list_writes_ascii_whatever_the_stdout_encoding(table_small, fmt):
     # the bytes go to stdout's binary layer, past a text layer that would
     # write utf-16
     proc = subprocess.run(
         [sys.executable, "-m", "cpsq.cli", "list", "1000000", "--format", fmt],
-        capture_output=True, env=dict(cli_env(tmp_path), PYTHONIOENCODING="utf-16"),
+        capture_output=True, env=dict(cli_env(), PYTHONIOENCODING="utf-16"),
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
@@ -133,11 +123,11 @@ def cli_bytes(argv):
 @pytest.mark.parametrize(
     "command", ["count 100", "find 2020", "maxlen 5000", "verify --grid 289", "table-check"]
 )
-def test_every_command_writes_ascii_whatever_the_stdout_encoding(command, fmt, tmp_path):
+def test_every_command_writes_ascii_whatever_the_stdout_encoding(command, fmt):
     argv = [*command.split(), "--format", fmt]
     proc = subprocess.run(
         [sys.executable, "-m", "cpsq.cli", *argv],
-        capture_output=True, env=dict(cli_env(tmp_path), PYTHONIOENCODING="utf-16"),
+        capture_output=True, env=dict(cli_env(), PYTHONIOENCODING="utf-16"),
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
@@ -313,84 +303,36 @@ def test_maxlen_of_a_huge_x_is_refused_before_any_sieve(capsys, monkeypatch):
     assert ran == []
 
 
-def test_cache_write_and_reuse(capsys, tmp_path, monkeypatch):
-    cache_dir = tmp_path / "cache"
-    code, _, _ = run_cli(capsys, "count", "10^10")
-    assert code == 0
-    cache_file = cache_dir / "primes.cpsq"
-    assert cache_file.is_file()
-    assert load_table(cache_file).limit == 10**5
+# count sieves 10^6 (the size the cache once kept), the others under 100
+@pytest.mark.parametrize(
+    "argv",
+    [["count", "10^12"], ["list", "5000"], ["find", "2020"], ["table-check"]],
+    ids=["count", "list", "find", "table-check"],
+)
+def test_no_command_reads_or_writes_a_table_file(argv, capsys, tmp_path, monkeypatch):
+    """A damaged primes.cpsq where the CLI once kept its prime cache
+    changes no output, draws no warning and is left as it was."""
+    home = tmp_path / "home"
+    monkeypatch.setenv("CPSQ_CACHE_DIR", str(home / "cpsq-cache"))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(home / "xdg"))
+    monkeypatch.setenv("HOME", str(home))
+    expected = run_cli(capsys, *argv)[:2]
+    damaged = tmp_path / "damaged.cpsq"
+    save_table(sieve_primes(10**6), damaged)
+    raw = bytearray(damaged.read_bytes())
+    raw[-1] ^= 0xFF  # the last prime, so the checksum no longer matches
+    for folder in (home / "cpsq-cache", home / "xdg" / "cpsq", home / ".cache" / "cpsq"):
+        folder.mkdir(parents=True, exist_ok=True)
+        (folder / "primes.cpsq").write_bytes(raw)
 
-    def refuse_sieve(*args, **kwargs):
-        raise AssertionError("cache should have been used")
+    def tree():
+        return {p: p.is_file() and p.read_bytes() for p in home.rglob("*")}
 
-    monkeypatch.setattr(cpsq.cli, "sieve_primes", refuse_sieve)
-    code, out, _ = run_cli(capsys, "count", "10^10", "--count-mode", "distinct")
-    assert code == 0
-    assert out.startswith("x=10000000000 distinct=")
-
-
-def test_corrupt_cache_warns_and_recovers(capsys, tmp_path):
-    cache_dir = tmp_path / "cache"
-    code, _, _ = run_cli(capsys, "count", "10^10")
-    assert code == 0
-    cache_file = cache_dir / "primes.cpsq"
-    raw = bytearray(cache_file.read_bytes())
-    raw[0] ^= 0xFF
-    cache_file.write_bytes(raw)
-    code, out, err = run_cli(capsys, "count", "10^10", "--count-mode", "distinct")
-    assert code == 0
-    assert "warning: ignoring cache" in err
-    # and the fresh sieve was written back over the corrupt file
-    assert load_table(cache_file).limit == 10**5
-
-
-def test_cache_with_too_few_primes_is_rebuilt(capsys, tmp_path):
-    cache_file = tmp_path / "cache" / "primes.cpsq"
-    cache_file.parent.mkdir()
-    save_table(PrimeTable(10**6, sieve_primes(1000).primes), cache_file)
-    code, out, err = run_cli(capsys, "count", "10^12", "--count-mode", "distinct")
-    assert code == 0
-    assert out == "x=1000000000000 distinct=8867054\n"
-    assert "warning: ignoring cache" in err
-    assert len(load_table(cache_file)) == 78498
-
-
-def test_cache_with_a_changed_prime_is_not_used(capsys, tmp_path):
-    # p_4 = 7 rewritten as 9, header untouched: a table that passes every
-    # structural check, and would drop 74, 83 and 87 from list 100
-    code, _, _ = run_cli(capsys, "count", "10^10")
-    assert code == 0
-    cache_file = tmp_path / "cache" / "primes.cpsq"
-    raw = bytearray(cache_file.read_bytes())
-    head = 5 + 16 + 4
-    assert raw[head + 24 : head + 32] == (7).to_bytes(8, "little")
-    raw[head + 24 : head + 32] = (9).to_bytes(8, "little")
-    cache_file.write_bytes(raw)
-    code, out, err = run_cli(capsys, "list", "100")
-    assert code == 0
-    assert out == "4\n9\n13\n25\n34\n38\n49\n74\n83\n87\n"
-    assert err.startswith("warning: ignoring cache") and "checksum" in err
-
-
-def test_cache_in_the_earlier_format_is_resieved(capsys, tmp_path):
-    cache_file = tmp_path / "cache" / "primes.cpsq"
-    cache_file.parent.mkdir()
-    table = sieve_primes(10**6)
-    header = b"CPSQ1" + struct.pack("<QQ", table.limit, len(table))
-    cache_file.write_bytes(header + table.primes.astype("<u8").tobytes())
-    code, out, err = run_cli(capsys, "count", "10^12", "--count-mode", "distinct")
-    assert code == 0
-    assert out == "x=1000000000000 distinct=8867054\n"
-    assert "warning: ignoring cache" in err and "not a CPSQ2" in err
-    assert cache_file.read_bytes()[:5] == b"CPSQ2"
-    assert len(load_table(cache_file)) == 78498
-
-
-def test_small_tables_are_not_cached(capsys, tmp_path):
-    code, _, _ = run_cli(capsys, "count", "5000")
-    assert code == 0
-    assert not (tmp_path / "cache" / "primes.cpsq").exists()
+    before = tree()
+    code, out, err = run_cli(capsys, *argv)
+    assert tree() == before
+    assert err == ""
+    assert (code, out) == expected
 
 
 def test_dedup_refusal_exits_3_and_multiplicity_still_answers(capsys, monkeypatch):
@@ -463,13 +405,13 @@ def test_every_argv_gets_one_exit_code_of_the_contract(argv):
         assert len(errors) == 1, err.getvalue()
 
 
-def cli_env(tmp_path):
+def cli_env():
     """The environment for a ``python -m cpsq.cli`` child: no inherited
     PYTHON* setting (PYTHONUNBUFFERED would hide what buffered streams do),
-    this checkout's package on the path, and a cache of its own."""
+    and this checkout's package on the path."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     src = str(Path(__file__).resolve().parents[1] / "src")
-    return dict(env, PYTHONPATH=src, CPSQ_CACHE_DIR=str(tmp_path / "cache"))
+    return dict(env, PYTHONPATH=src)
 
 
 # every output passes any pipe buffer (5.5 MB, 180 kB, 16 MB and 17 MB),
@@ -486,10 +428,10 @@ def cli_env(tmp_path):
     ],
     ids=["list", "verify", "list-5e10", "list-5e10-json"],
 )
-def test_closed_stdout_ends_quietly_with_the_decided_code(argv, tmp_path):
+def test_closed_stdout_ends_quietly_with_the_decided_code(argv):
     proc = subprocess.Popen(
         [sys.executable, "-m", "cpsq.cli", *argv],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env(tmp_path),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env(),
     )
     assert proc.stdout.readline()
     proc.stdout.close()
@@ -535,10 +477,10 @@ _UNUSABLE = [
     _UNUSABLE,
     ids=[f"{stream}-{'-'.join(argv)}" for stream, argv, *_ in _UNUSABLE],
 )
-def test_an_unusable_stdout_or_stderr_keeps_the_exit_code(stream, argv, code, out, tmp_path):
+def test_an_unusable_stdout_or_stderr_keeps_the_exit_code(stream, argv, code, out):
     proc = subprocess.run(
         [sys.executable, "-m", "cpsq.cli", *argv],
-        capture_output=True, env=cli_env(tmp_path), timeout=60,
+        capture_output=True, env=cli_env(), timeout=60,
         preexec_fn=left_at_start(stream),
     )
     assert proc.returncode == code, proc.stderr
@@ -559,10 +501,10 @@ def test_an_unusable_stdout_or_stderr_keeps_the_exit_code(stream, argv, code, ou
         ("2>&-", "list 1e700", 3),
     ],
 )
-def test_a_shell_closed_stream_keeps_the_exit_code(redirect, argv, code, tmp_path):
+def test_a_shell_closed_stream_keeps_the_exit_code(redirect, argv, code):
     proc = subprocess.run(
         ["sh", "-c", f'exec "$0" -m cpsq.cli {argv} {redirect}', sys.executable],
-        capture_output=True, env=cli_env(tmp_path), timeout=60,
+        capture_output=True, env=cli_env(), timeout=60,
     )
     assert proc.returncode == code, proc.stderr
     assert b"Traceback" not in proc.stderr and b"error:" not in proc.stdout
@@ -573,14 +515,14 @@ def test_a_shell_closed_stream_keeps_the_exit_code(redirect, argv, code, tmp_pat
 # and one error line, not a traceback, nor the flush at exit's code 120
 @pytest.mark.parametrize("sink", ["/dev/full", "read-only"])
 @pytest.mark.parametrize("argv", ["list 100", "count 100", "verify --grid 289"])
-def test_an_output_that_cannot_be_written_exits_3(sink, argv, tmp_path):
+def test_an_output_that_cannot_be_written_exits_3(sink, argv):
     if sink == "/dev/full" and not os.path.exists(sink):
         pytest.skip("no /dev/full on this system")
     path, mode = (os.devnull, "rb") if sink == "read-only" else (sink, "wb")
     with open(path, mode) as out:
         proc = subprocess.run(
             [sys.executable, "-m", "cpsq.cli", *argv.split()],
-            stdout=out, stderr=subprocess.PIPE, text=True, env=cli_env(tmp_path), timeout=60,
+            stdout=out, stderr=subprocess.PIPE, text=True, env=cli_env(), timeout=60,
         )
     assert proc.returncode == 3, proc.stderr
     assert [line for line in proc.stderr.splitlines() if "error:" in line] == [
@@ -599,7 +541,7 @@ def test_an_output_that_cannot_be_written_exits_3(sink, argv, tmp_path):
     ("argv", "full", "code"),
     [("--help", "1", 3), ("count 0", "2", 2), ("count", "2", 2), ("count 100", "12", 3)],
 )
-def test_a_full_stdout_or_stderr_gets_the_contract_code(argv, full, code, tmp_path):
+def test_a_full_stdout_or_stderr_gets_the_contract_code(argv, full, code):
     if not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full on this system")
     with open("/dev/full", "wb") as sink:
@@ -607,7 +549,7 @@ def test_a_full_stdout_or_stderr_gets_the_contract_code(argv, full, code, tmp_pa
             [sys.executable, "-m", "cpsq.cli", *argv.split()],
             stdout=sink if "1" in full else subprocess.PIPE,
             stderr=sink if "2" in full else subprocess.PIPE,
-            env=cli_env(tmp_path), timeout=60,
+            env=cli_env(), timeout=60,
         )
     assert proc.returncode == code, proc.stderr
     if proc.stdout is not None:
@@ -640,10 +582,10 @@ def test_a_full_stdout_or_stderr_gets_the_contract_code(argv, full, code, tmp_pa
         (["verify", "--grid", "-5"], 2),
     ],
 )
-def test_huge_and_empty_arguments_get_their_code_at_once(argv, code, tmp_path):
+def test_huge_and_empty_arguments_get_their_code_at_once(argv, code):
     proc = subprocess.run(
         [sys.executable, "-m", "cpsq.cli", *argv],
-        capture_output=True, text=True, env=cli_env(tmp_path), timeout=10,
+        capture_output=True, text=True, env=cli_env(), timeout=10,
     )
     assert proc.returncode == code, proc.stderr
     assert proc.stdout == "" and "Traceback" not in proc.stderr
@@ -665,16 +607,16 @@ def test_only_the_process_entry_freezes_the_import_heap(capsys, monkeypatch):
     capsys.readouterr()
 
 
-def test_importing_the_package_freezes_nothing(tmp_path):
+def test_importing_the_package_freezes_nothing():
     proc = subprocess.run(
         [sys.executable, "-c", "import gc, cpsq, cpsq.cli; print(gc.get_freeze_count())"],
-        capture_output=True, text=True, env=cli_env(tmp_path), timeout=60,
+        capture_output=True, text=True, env=cli_env(), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0\n"
 
 
-def test_list_and_count_load_no_json_or_csv(tmp_path):
+def test_list_and_count_load_no_json_or_csv():
     # only the commands that print json or csv import those modules
     code = (
         "import sys\n"
@@ -685,7 +627,7 @@ def test_list_and_count_load_no_json_or_csv(tmp_path):
         "print(sorted({'json', 'csv'} & (set(sys.modules) - before)), file=sys.stderr)\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=cli_env(tmp_path), timeout=60
+        [sys.executable, "-c", code], capture_output=True, text=True, env=cli_env(), timeout=60
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == "[]\n"
@@ -705,7 +647,7 @@ def test_the_module_entry_prints_what_main_prints(capsys, tmp_path):
     expected = capsys.readouterr().out
     proc = subprocess.run(
         [sys.executable, "-m", "cpsq.cli", *argv],
-        capture_output=True, env=cli_env(tmp_path), timeout=60,
+        capture_output=True, env=cli_env(), timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == expected.encode()

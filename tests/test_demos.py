@@ -16,9 +16,9 @@ def test_all_four_demos_are_found():
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
-def test_demo_runs(script, tmp_path):
+def test_demo_runs(script):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path, CPSQ_CACHE_DIR=str(tmp_path / "cache"))
+    env = dict(os.environ, PYTHONPATH=path)
     result = subprocess.run(
         [sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=120
     )

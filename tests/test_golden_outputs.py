@@ -42,8 +42,7 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("command", GOLDEN)
-def test_output_matches_its_pinned_digest(command, tmp_path, monkeypatch):
-    monkeypatch.setenv("CPSQ_CACHE_DIR", str(tmp_path / "cache"))
+def test_output_matches_its_pinned_digest(command):
     out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", write_through=True)
     with contextlib.redirect_stdout(out):
         assert main(command.split()) == 0
