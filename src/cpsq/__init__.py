@@ -28,12 +28,7 @@ from .bounds import (
     upper_bound,
     verify_count_bounds,
 )
-from .errors import (
-    ApplicabilityError,
-    DomainError,
-    ResourceLimitError,
-    TableRangeError,
-)
+from .errors import ResourceLimitError
 from .primes import (
     DUSART_LOWER_MIN_N,
     DUSART_UPPER_FACTOR,
@@ -64,13 +59,11 @@ from .windows import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ApplicabilityError",
     "BoundReport",
     "CAP_COEFF",
     "CountReport",
     "DUSART_LOWER_MIN_N",
     "DUSART_UPPER_FACTOR",
-    "DomainError",
     "DusartCheck",
     "FAIL",
     "INCONCLUSIVE",
@@ -83,7 +76,6 @@ __all__ = [
     "REFERENCE_VALUES",
     "Representation",
     "ResourceLimitError",
-    "TableRangeError",
     "UPPER_COEFF",
     "UPPER_COEFF_SHARP",
     "WindowCap",

@@ -37,12 +37,14 @@ Supporting checks, each exposed as an operation returning a BoundReport:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from math import fsum, isqrt, log
 
-from .errors import ApplicabilityError, DomainError, ResourceLimitError, brief
+from .errors import ResourceLimitError, brief
 from .primes import (
     DUSART_LOWER_MIN_N,
+    DUSART_UPPER_FACTOR,
     MAX_LIMIT,
     DusartCheck,
     PrimeTable,
@@ -61,8 +63,8 @@ LOWER_MIN_X = 289
 UPPER_COEFF = 10.9558
 UPPER_COEFF_SHARP = 5.0204 * 108 ** (1 / 6)
 
-#: per-length majorant constant, 2 * 1.2551
-PER_LENGTH_COEFF = 2.5102
+#: per-length majorant constant, 2.5102
+PER_LENGTH_COEFF = 2 * DUSART_UPPER_FACTOR
 
 #: analytic window cap constant 108^(1/3)
 CAP_COEFF = 108 ** (1 / 3)
@@ -85,16 +87,16 @@ class WindowCap:
 
 
 def lower_bound(x: int) -> float:
-    """2 sqrt(x) / ln x. Domain: x > 1 (compare only from x >= 289 on)."""
-    if x <= 1:
-        raise DomainError(f"lower bound needs x > 1, got {x}")
+    """2 sqrt(x) / ln x for 1 < x <= the largest double (compare from 289 on)."""
+    if not 1 < x <= sys.float_info.max:
+        raise ValueError(f"lower bound needs 1 < x <= {sys.float_info.max:g}, got {brief(x)}")
     return 2.0 * math.sqrt(x) / log(x)
 
 
 def upper_bound(x: int, *, sharp: bool = False) -> float:
-    """c * x^(2/3) / (ln x)^(4/3) with c = 10.9558, or unrounded if sharp."""
-    if x <= 1:
-        raise DomainError(f"upper bound needs x > 1, got {x}")
+    """c x^(2/3) / (ln x)^(4/3), c = 10.9558 or unrounded if sharp; 1 < x <= max double."""
+    if not 1 < x <= sys.float_info.max:
+        raise ValueError(f"upper bound needs 1 < x <= {sys.float_info.max:g}, got {brief(x)}")
     coeff = UPPER_COEFF_SHARP if sharp else UPPER_COEFF
     return coeff * float(x) ** (2 / 3) / log(x) ** (4 / 3)
 
@@ -105,7 +107,7 @@ def _covering_table(x: int, table: PrimeTable | None) -> tuple[int, PrimeTable]:
     least L >= 17 with L / ln L >= M(x), which holds M(x) primes by Dusart,
     so a huge x is refused before anything is allocated."""
     if x < 2:
-        raise DomainError(f"window cap needs x >= 2, got {x}")
+        raise ValueError(f"window cap needs x >= 2, got {x}")
     if x > MAX_LIMIT**3:
         # L >= M ln M > x^(1/3) > MAX_LIMIT there, and float(x) may overflow
         raise ResourceLimitError(f"the window cap at x={brief(x)} needs primes past {MAX_LIMIT}")
@@ -215,7 +217,7 @@ def check_partial_sum(m_cap: int, alpha: float) -> BoundReport:
     """
     m_cap = int(m_cap)
     if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if m_cap < 1:
         raise ValueError(f"M must be >= 1, got {m_cap}")
     lhs = fsum(m ** -alpha for m in range(1, m_cap + 1))
@@ -246,7 +248,7 @@ def check_weighted_square(m_cap: int) -> BoundReport:
     """
     m_cap = int(m_cap)
     if m_cap < 4:
-        raise ApplicabilityError(f"weighted-square bound needs M >= 4, got {m_cap}")
+        raise ValueError(f"weighted-square bound needs M >= 4, got {m_cap}")
     cut = math.isqrt(m_cap - 1) + 1  # ceil(sqrt(M))
     log_m = log(m_cap)
     terms = _weighted_square_terms(m_cap)

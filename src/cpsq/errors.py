@@ -1,28 +1,13 @@
-"""Exception types shared across the package.
+"""The package's one exception type of its own, and a short form of big ints.
 
-The CLI maps these onto its exit codes: bad argument values (any ValueError,
-including the subclasses below) exit 2, resource refusals exit 3.
+The CLI maps exceptions onto its exit codes: a bad argument, including a
+table too small for the query, raises ValueError and exits 2; a resource
+refusal raises ResourceLimitError and exits 3.
 """
 
 from __future__ import annotations
 
 import math
-
-
-class TableRangeError(ValueError):
-    """A query stepped past the coverage of a prime table.
-
-    Raised with a message that names both the table's actual limit and the
-    limit the query would have needed.
-    """
-
-
-class DomainError(ValueError):
-    """An argument is outside the mathematical domain of a bound formula."""
-
-
-class ApplicabilityError(ValueError):
-    """An argument is outside the stated applicability range of a check."""
 
 
 class ResourceLimitError(RuntimeError):

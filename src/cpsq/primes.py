@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ResourceLimitError, TableRangeError, brief
+from .errors import ResourceLimitError, brief
 from .reports import PASS, BoundReport, compare_strict
 
 #: odd candidates per sieve segment, which keeps a segment's mask ~1 MiB
@@ -155,11 +155,11 @@ def prime_count(n: int, table: PrimeTable) -> int:
     """pi(n): the number of primes <= n, answered from the table.
 
     ``n`` may be anything up to ``table.limit``; beyond that the table
-    cannot answer and a TableRangeError names its limit.
+    cannot answer and a ValueError names its limit.
     """
     n = int(n)
     if n > table.limit:
-        raise TableRangeError(
+        raise ValueError(
             f"pi({n}) is beyond this table (limit {table.limit}); "
             f"sieve to at least {n} first"
         )
@@ -173,7 +173,7 @@ def nth_prime(n: int, table: PrimeTable) -> int:
         raise ValueError(f"prime index must be >= 1, got {n}")
     primes = table.primes
     if n > primes.size:
-        raise TableRangeError(
+        raise ValueError(
             f"table holds only {primes.size} primes (limit {table.limit}), "
             f"cannot produce p_{n}"
         )

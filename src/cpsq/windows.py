@@ -51,7 +51,7 @@ from typing import Callable, Iterator, Sequence, TypeVar
 import numpy as np
 
 from . import primes
-from .errors import ResourceLimitError, TableRangeError, brief
+from .errors import ResourceLimitError, brief
 from .primes import PrimeTable
 
 __all__ = [
@@ -99,7 +99,7 @@ def _covered(x: int, table: PrimeTable, name: str = "x") -> int:
         raise ValueError(f"{name} must be a positive integer, got {x}")
     need = isqrt(x)
     if table.limit < need:
-        raise TableRangeError(
+        raise ValueError(
             f"table limit {table.limit} is below floor(sqrt({brief(x)})) = "
             f"{brief(need)}; sieve to at least {brief(need)} first"
         )
@@ -469,7 +469,7 @@ def max_window_length(x: int, table: PrimeTable) -> int:
 
     Determined exactly from the prefix sums: S_m <= x < S_{m+1}. The table
     must extend far enough that S_K > x, otherwise there is no witness for
-    the upper neighbor and a TableRangeError asks for more primes.
+    the upper neighbor and a ValueError asks for more primes.
     """
     x = int(x)
     if x < 1:
@@ -477,7 +477,7 @@ def max_window_length(x: int, table: PrimeTable) -> int:
     m = _longest(x, table)
     if m < len(table):
         return m
-    raise TableRangeError(
+    raise ValueError(
         f"prefix sums of this table end at S_{len(table)} = "
         f"{table.prefix_sum(len(table))} <= {brief(x)}; "
         f"a longer table is needed to bracket the maximal window"

@@ -10,11 +10,9 @@ from hypothesis import strategies as st
 import cpsq.bounds
 import cpsq.windows
 from cpsq import (
-    ApplicabilityError,
-    DomainError,
     INFORMATIONAL_LABELS,
+    PER_LENGTH_COEFF,
     ResourceLimitError,
-    TableRangeError,
     analytic_max_window,
     check_dusart,
     check_length_count_bound,
@@ -43,7 +41,7 @@ from oracles import (
 def test_lower_bound_values():
     assert lower_bound(289) == pytest.approx(6.000254, abs=1e-6)
     assert lower_bound(2) > 0
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError, match="lower bound needs"):
         lower_bound(1)
 
 
@@ -51,8 +49,20 @@ def test_upper_bound_values():
     assert upper_bound(5000) == pytest.approx(184.174, abs=1e-3)
     expected_1e9 = 10.9558 * 10**6 / math.log(10**9) ** (4 / 3)
     assert upper_bound(10**9) == pytest.approx(expected_1e9, rel=1e-12)
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError, match="upper bound needs"):
         upper_bound(0)
+
+
+def test_bound_formulas_refuse_x_past_the_float_range():
+    # float(x) would overflow, so both refuse with the contract's ValueError
+    for x in (10**400, 2**1024 - 1):
+        digits = f"<{len(str(x))} digits>"
+        with pytest.raises(ValueError, match=f"lower bound needs .*got {digits}"):
+            lower_bound(x)
+        with pytest.raises(ValueError, match=f"upper bound needs .*got {digits}"):
+            upper_bound(x)
+    assert lower_bound(10**308) == pytest.approx(2.820e151, rel=1e-3)
+    assert upper_bound(10**308) == pytest.approx(3.732e202, rel=1e-3)
 
 
 def test_sharp_constant_sits_just_below_the_rounded_one():
@@ -72,7 +82,7 @@ def test_window_cap_examples(table_small):
     assert cap.exact_m == 12
     assert analytic_max_window(100, table_small).analytic_m == 7
     assert analytic_max_window(50, table_small).exact_m == 3
-    with pytest.raises(DomainError):
+    with pytest.raises(ValueError, match="window cap needs"):
         analytic_max_window(1)
 
 
@@ -157,7 +167,7 @@ def test_length_count_bound_rejects_bad_ranges(table_small):
     ]
     with pytest.raises(ValueError):
         check_length_count_bound(0, table_small)
-    with pytest.raises(TableRangeError):
+    with pytest.raises(ValueError, match="sieve to at least 31622"):
         check_length_count_bound(10**9, table_small)  # needs primes to 31622
 
 
@@ -198,7 +208,8 @@ def test_length_count_bound_majorant_is_the_local_log_form(table_small):
     assert r.observed == 40
     assert r.rhs == pytest.approx(44.0065, abs=1e-3)
     assert r.verdict == PASS
-    assert 2.5102 * math.sqrt(10**5 / 3) / math.log(10**5) < 40
+    assert PER_LENGTH_COEFF == 2.5102
+    assert PER_LENGTH_COEFF * math.sqrt(10**5 / 3) / math.log(10**5) < 40
 
 
 @given(st.integers(min_value=5, max_value=10**6))
@@ -256,7 +267,7 @@ def test_partial_sum_m1_is_equality_hence_not_applicable():
 
 def test_partial_sum_rejects_bad_alpha():
     for alpha in (0.0, 1.0, -0.3, 2.0):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match="alpha must lie in"):
             check_partial_sum(10, alpha)
     with pytest.raises(ValueError):
         check_partial_sum(0, 0.5)
@@ -279,7 +290,7 @@ def test_weighted_square_named_point():
 
 def test_weighted_square_needs_m_at_least_4():
     for m in (0, 1, 2, 3):
-        with pytest.raises(ApplicabilityError):
+        with pytest.raises(ValueError, match="needs M >= 4"):
             check_weighted_square(m)
 
 
