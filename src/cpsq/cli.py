@@ -14,6 +14,12 @@ So does a stdout or stderr closed at the start (``cpsq list 100 >&-``):
 what would go there is lost, and no diagnostic falls back to stdout. A
 stderr that cannot be written (``2>/dev/full``) loses its lines, not the
 exit code.
+
+Importing this module limits numpy's OpenBLAS thread pool to one thread
+(``OPENBLAS_NUM_THREADS=1``) unless the variable is already set or numpy is
+already loaded. A host program that imports ``cpsq.cli`` before numpy
+inherits that limit, and so do the processes it starts afterwards; one that
+imports numpy first keeps its own setting. ``import cpsq`` alone sets nothing.
 """
 
 from __future__ import annotations
@@ -24,8 +30,15 @@ import gc
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import isqrt, log10
+
+if "numpy" not in sys.modules:
+    # cpsq calls no BLAS, yet numpy's OpenBLAS pool spins once numpy loads
+    # and takes a core from the dedup threads. OpenBLAS reads the limit as
+    # numpy loads it; with numpy loaded, setting it would reach only the
+    # processes started later.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -37,7 +50,13 @@ from .primes import load_table, save_table  # noqa: F401
 from .reference import REFERENCE_LIMIT, REFERENCE_VALUES
 from .reports import FAIL
 from .serialize import FORMATS, serialize_report, write_values
-from .windows import count_sums, count_windows, find_representations, values_up_to
+from .windows import (
+    Representation,
+    count_sums,
+    count_windows,
+    find_representations,
+    values_up_to,
+)
 
 COUNT_MODES = ("distinct", "multiplicity", "both")
 
@@ -211,6 +230,9 @@ def _cmd_find(config: CliConfig) -> _Outcome:
     target = config.x_or_target
     table = provision_table(isqrt(target), config)
     reps = find_representations(target, table)
+    if config.format == "csv" and not reps:
+        # the header alone, as ``list`` writes one, so a CSV reader sees the fields
+        return 0, ",".join(f.name for f in fields(Representation))
     if config.format != "text":
         return 0, serialize_report(reps, config.format)
     lines = []

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior, run in-process through cpsq.cli.main."""
 
 import contextlib
+import csv
 import gc
 import io
 import json
@@ -178,6 +179,14 @@ def test_find_without_representation(capsys):
     code, out, _ = run_cli(capsys, "find", "6")
     assert code == 0
     assert out == "no representation\n"
+
+
+def test_find_csv_without_representation_keeps_the_header(capsys):
+    code, out, _ = run_cli(capsys, "find", "3", "--format", "csv")
+    assert code == 0
+    reader = csv.DictReader(io.StringIO(out))
+    assert reader.fieldnames == ["start_index", "length", "value"]
+    assert list(reader) == []
 
 
 def test_find_json(capsys):

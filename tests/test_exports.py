@@ -1,18 +1,23 @@
 """The package's public surface: what `cpsq` exports and which exceptions it defines."""
 
+import importlib
 import inspect
+
+import pytest
 
 import cpsq
 import cpsq.errors
 
 
 def test_all_names_exactly_the_public_bindings():
-    bound = {
-        name
-        for name, value in vars(cpsq).items()
-        if not name.startswith("_") and not inspect.ismodule(value)
-    }
-    assert set(cpsq.__all__) - {"__version__"} == bound
+    # the names are bound lazily, each from the module its map entry names
+    assert set(cpsq.__all__) - {"__version__"} == set(cpsq._MODULE_OF)
+    assert set(cpsq.__all__) <= set(dir(cpsq))
+    for name, module in cpsq._MODULE_OF.items():
+        defining = importlib.import_module(f"cpsq.{module}")
+        assert getattr(cpsq, name) is getattr(defining, name), name
+    with pytest.raises(AttributeError, match="no attribute 'sieve'"):
+        cpsq.sieve  # noqa: B018
 
 
 def test_errors_defines_one_exception_type():
