@@ -38,8 +38,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from math import fsum, isqrt, log
+from typing import NamedTuple
 
 from .errors import ResourceLimitError, brief
 from .primes import (
@@ -73,8 +73,7 @@ CAP_COEFF = 108 ** (1 / 3)
 INFORMATIONAL_LABELS = frozenset({"window-cap-substitution"})
 
 
-@dataclass(frozen=True)
-class WindowCap:
+class WindowCap(NamedTuple):
     """Analytic and exact caps on the window length at threshold x.
 
     ``exact_m`` satisfies S_exact_m <= x < S_{exact_m + 1}; ``analytic_m``

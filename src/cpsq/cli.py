@@ -30,8 +30,8 @@ import gc
 import os
 import re
 import sys
-from dataclasses import dataclass, fields
 from math import isqrt, log10
+from typing import NamedTuple
 
 if "numpy" not in sys.modules:
     # cpsq calls no BLAS, yet numpy's OpenBLAS pool spins once numpy loads
@@ -61,8 +61,7 @@ from .windows import (
 COUNT_MODES = ("distinct", "multiplicity", "both")
 
 
-@dataclass(frozen=True)
-class CliConfig:
+class CliConfig(NamedTuple):
     """One parsed invocation; exactly one command, defaults filled in."""
 
     command: str
@@ -232,7 +231,7 @@ def _cmd_find(config: CliConfig) -> _Outcome:
     reps = find_representations(target, table)
     if config.format == "csv" and not reps:
         # the header alone, as ``list`` writes one, so a CSV reader sees the fields
-        return 0, ",".join(f.name for f in fields(Representation))
+        return 0, ",".join(Representation._fields)
     if config.format != "text":
         return 0, serialize_report(reps, config.format)
     lines = []

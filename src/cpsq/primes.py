@@ -12,6 +12,9 @@ Two classical explicit bounds are wrapped as checks here:
 
 * Dusart:  N/ln N < pi(N) for N >= 17, and pi(N) < 1.2551 N/ln N for N > 1.
 * Rosser:  p_n > n ln n for every n >= 1.
+
+``check_dusart`` returns a ``DusartCheck`` and ``check_rosser`` a
+``reports.BoundReport``, both immutable ``NamedTuple`` records.
 """
 
 from __future__ import annotations
@@ -21,9 +24,9 @@ import os
 import struct
 import tempfile
 import zlib
-from dataclasses import dataclass
 from math import isqrt
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -180,8 +183,7 @@ def nth_prime(n: int, table: PrimeTable) -> int:
     return primes.item(n - 1)
 
 
-@dataclass(frozen=True)
-class DusartCheck:
+class DusartCheck(NamedTuple):
     """Evaluation of the two Dusart inequalities at a single N.
 
     ``passed`` is True iff every *applicable* strict inequality holds; the
@@ -195,25 +197,6 @@ class DusartCheck:
     upper_value: float
     lower_applicable: bool
     passed: bool
-
-    def __init__(
-        self,
-        n: int,
-        lower_value: float,
-        pi_value: int,
-        upper_value: float,
-        lower_applicable: bool,
-        passed: bool,
-    ) -> None:
-        # stores straight into the instance dict, as BoundReport.__init__
-        # does, instead of the frozen dataclass's object.__setattr__ per field
-        d = self.__dict__
-        d["n"] = n
-        d["lower_value"] = lower_value
-        d["pi_value"] = pi_value
-        d["upper_value"] = upper_value
-        d["lower_applicable"] = lower_applicable
-        d["passed"] = passed
 
 
 def check_dusart(n: int, table: PrimeTable) -> DusartCheck:

@@ -5,12 +5,16 @@ bare boolean, so that the evaluated sides survive into logs and serialized
 output. Verdicts are three-valued: a strict inequality that lands within a
 small safety margin of equality is reported as "inconclusive" instead of
 being rounded into a pass or a fail.
+
+Records here and in ``primes``, ``windows`` and ``bounds`` are immutable
+``NamedTuple``s: they compare as tuples of their values, and ``_fields``,
+``_asdict`` and ``_replace`` serve for reflection and copies.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 PASS = "pass"
 FAIL = "fail"
@@ -52,8 +56,7 @@ def compare_strict(lhs: float, rhs: float) -> str:
     return INCONCLUSIVE
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Outcome of one inequality check.
 
     The convention is that the verdict asserts ``lhs < rhs`` strictly (the
@@ -71,25 +74,3 @@ class BoundReport:
     observed: int | None
     applicable: bool
     verdict: str
-
-    def __init__(
-        self,
-        label: str,
-        x_or_m: int,
-        lhs: float,
-        rhs: float,
-        observed: int | None,
-        applicable: bool,
-        verdict: str,
-    ) -> None:
-        # @dataclass keeps an __init__ written in the class body. The frozen
-        # one it would generate calls object.__setattr__ once per field;
-        # storing into the instance dict directly takes about half the time.
-        d = self.__dict__
-        d["label"] = label
-        d["x_or_m"] = x_or_m
-        d["lhs"] = lhs
-        d["rhs"] = rhs
-        d["observed"] = observed
-        d["applicable"] = applicable
-        d["verdict"] = verdict

@@ -1,6 +1,6 @@
 """Rendering of report records as text, JSON, or CSV.
 
-The JSON form is lossless: field names match the dataclasses, floats keep
+The JSON form is lossless: keys are the records' ``_fields``, floats keep
 full round-trip precision, and ``record_from_dict`` reconstructs an equal
 record. Text and CSV are for eyes and spreadsheets; reals are shortened to
 6 significant digits there. All three forms are deterministic: fields stay
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import io
 import threading
-from dataclasses import fields, is_dataclass
 from typing import Any, BinaryIO, Iterable, Sequence
 
 import numpy as np
@@ -84,17 +83,17 @@ def record_to_dict(record: Record) -> dict[str, Any]:
     Shallow: the records hold only scalars and one int -> int mapping,
     which ``_plain`` copies with string keys, so nothing needs a deep copy.
     """
-    if not is_dataclass(record) or isinstance(record, type):
+    if not isinstance(record, Record):
         raise TypeError(f"not a report record: {record!r}")
-    return {f.name: _plain(getattr(record, f.name)) for f in fields(record)}
+    return {name: _plain(value) for name, value in zip(record._fields, record)}
 
 
 def record_from_dict(cls: type, data: dict[str, Any]) -> Record:
     """Inverse of record_to_dict for a known record class."""
     kwargs = dict(data)
-    for f in fields(cls):
-        if f.name in kwargs and isinstance(kwargs[f.name], dict):
-            kwargs[f.name] = {int(k): v for k, v in kwargs[f.name].items()}
+    for name in cls._fields:
+        if name in kwargs and isinstance(kwargs[name], dict):
+            kwargs[name] = {int(k): v for k, v in kwargs[name].items()}
     return cls(**kwargs)
 
 
@@ -125,12 +124,11 @@ def to_csv(records: Sequence[Record]) -> str:
     first = type(records[0])
     if any(type(r) is not first for r in records):
         raise ValueError("CSV output needs records of a single type")
-    names = [f.name for f in fields(first)]
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(names)
+    writer.writerow(record_to_dict(records[0]))  # the field names; refuses a non-record
     for r in records:
-        writer.writerow([_cell(getattr(r, name)) for name in names])
+        writer.writerow([_cell(value) for value in r])
     return out.getvalue().removesuffix("\n")  # no newline after the last row
 
 

@@ -44,9 +44,8 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass
 from math import isqrt
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -66,8 +65,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(NamedTuple):
     """One window of consecutive primes whose squares sum to ``value``."""
 
     start_index: int
@@ -75,8 +73,7 @@ class Representation:
     value: int
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(NamedTuple):
     """Counting summary at a threshold x.
 
     ``per_length`` maps every window length m = 1..max(1, max_length_seen)

@@ -35,8 +35,7 @@ def test_every_wrapped_call_site_is_a_callable():
     assert missing == []
 
 
-def test_set_up_provisions_a_table_for_cli_and_library_plans(tmp_path, monkeypatch):
-    monkeypatch.setenv("CPSQ_CACHE_DIR", str(tmp_path))
+def test_set_up_provisions_a_table_for_cli_and_library_plans():
     for plan in (
         {"kind": "cli", "ops": [["count", "1000000"]], "table_limit": 1000},
         {"kind": "lib", "table_limit": 1000},

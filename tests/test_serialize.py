@@ -78,10 +78,13 @@ def test_json_round_trip_remaining_records():
 
 
 def test_record_to_dict_rejects_non_records():
-    with pytest.raises(TypeError):
-        record_to_dict({"not": "a record"})
-    with pytest.raises(TypeError):
-        to_text([{"not": "a record"}])
+    for thing in ({"not": "a record"}, ("a", "tuple"), BoundReport):
+        with pytest.raises(TypeError):
+            record_to_dict(thing)
+        with pytest.raises(TypeError):
+            to_text([thing])
+        with pytest.raises(TypeError):
+            to_csv([thing])
 
 
 def test_csv_header_and_cells():
@@ -380,52 +383,3 @@ def test_the_byte_path_writes_the_bytes_of_the_str_path(values, fmt):
     data, as_bytes = written_bytes(values, fmt)
     assert data == printed_values(values, fmt).encode("ascii")
     assert as_bytes == bool(values)
-
-
-def test_the_byte_path_holds_a_bounded_number_of_rendered_chunks(monkeypatch):
-    # the rendered bytes themselves wait to be written, into buffers reused
-    # once written; a chunk being rendered also holds its digit groups and
-    # quotients, 20 bytes a value, and its bytes before they are written
-    values = many_chunks(40)
-    chunk_text = len(printed_values(values[:VALUE_CHUNK].tolist(), "text"))
-    workers = 3
-
-    kinds = set()
-
-    class Slow(io.BufferedIOBase):
-        def writable(self):
-            return True
-
-        def write(self, data):
-            kinds.add(type(data))
-            threading.Event().wait(0.005)
-            return len(memoryview(data))
-
-    monkeypatch.setattr(cpsq.windows, "_workers", lambda: workers)
-    stream = Slow()
-    tracemalloc.start()
-    try:
-        write_values(values[:VALUE_CHUNK], "text", stream)  # warm up
-        tracemalloc.reset_peak()
-        start = tracemalloc.get_traced_memory()[0]
-        write_values(values, "text", stream)
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-    assert np.ndarray in kinds
-    scratch = 20 * VALUE_CHUNK + chunk_text
-    assert peak <= (2 * workers + 2) * chunk_text + workers * scratch, peak
-
-
-@pytest.mark.parametrize("fmt", ["text", "json"])
-def test_the_byte_path_in_order_on_more_threads_than_cpus(fmt, monkeypatch):
-    values = many_chunks(9)
-    expected = printed_values(values.tolist(), fmt).encode("ascii")
-    monkeypatch.setattr(cpsq.windows, "_workers", lambda: 24)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(2):
-            assert written_bytes(values, fmt) == (expected, True)
-    finally:
-        sys.setswitchinterval(interval)

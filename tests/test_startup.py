@@ -60,3 +60,10 @@ def test_the_library_set_up_loads_only_what_sieving_needs():
     )
     for module in ("bounds", "windows", "serialize", "reference", "cli"):
         assert f"cpsq.{module}" not in loaded
+
+
+def test_neither_the_cli_nor_the_sieve_loads_dataclasses():
+    # the records are named tuples, so no import of either pays for dataclasses
+    for module in ("cpsq.cli", "cpsq.primes"):
+        probe = f"import json, sys, {module}; print(json.dumps('dataclasses' in sys.modules))"
+        assert fresh(probe) is False, module
