@@ -331,7 +331,11 @@ def _unwritable(stream, exc: OSError, code: int) -> int:
     """Give ``stream``'s fd the null device after ``exc``, so that the rest,
     the flush at exit included, cannot fail again (exit code 120). Only a
     stdout not closed by its reader changes the code: 3, with one error line."""
-    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+    null = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(null, stream.fileno())
+    finally:
+        os.close(null)
     if stream is sys.stderr or isinstance(exc, BrokenPipeError):
         return code
     _to_stderr(f"error: cannot write the output: {exc}")

@@ -24,6 +24,7 @@ import os
 import struct
 import tempfile
 import zlib
+from functools import partial
 from math import isqrt
 from pathlib import Path
 from typing import NamedTuple
@@ -32,6 +33,11 @@ import numpy as np
 
 from .errors import ResourceLimitError, brief
 from .reports import PASS, BoundReport, compare_strict
+
+#: builds a BoundReport from one tuple of its fields, skipping the Python
+#: frame of the generated ``__new__``; ``tuple.__new__`` checks nothing, so
+#: the tuple must hold exactly the record's fields, in ``_fields`` order
+_bound_report = partial(tuple.__new__, BoundReport)
 
 #: odd candidates per sieve segment, which keeps a segment's mask ~1 MiB
 ODDS_PER_SEGMENT = 1 << 20
@@ -84,8 +90,16 @@ class PrimeTable:
         return f"PrimeTable(limit={self.limit}, primes={len(self)})"
 
     def prefix_sum(self, k: int) -> int:
-        """The exact S_k: ``square_prefix[k]`` plus 2^64 for each wrap up to k."""
+        """The exact S_k: ``square_prefix[k]`` plus 2^64 for each wrap up to k.
+
+        ``k`` runs over 0..len(self); outside it a ValueError names the range.
+        """
         sp = self.square_prefix
+        if not 0 <= k < sp.size:
+            raise ValueError(
+                f"prefix sum index must be in 0..{sp.size - 1} for this table "
+                f"(limit {self.limit}), got {k}"
+            )
         wraps = int(np.count_nonzero(sp[1 : k + 1] < sp[:k]))
         return (wraps << 64) + int(sp[k])
 
@@ -199,6 +213,11 @@ class DusartCheck(NamedTuple):
     passed: bool
 
 
+#: builds a DusartCheck as ``_bound_report`` builds a BoundReport, under the
+#: same condition: exactly the record's fields, in ``_fields`` order
+_dusart_check = partial(tuple.__new__, DusartCheck)
+
+
 def check_dusart(n: int, table: PrimeTable) -> DusartCheck:
     """Check N/ln N < pi(N) < 1.2551 N/ln N at N = n."""
     n = int(n)
@@ -212,7 +231,7 @@ def check_dusart(n: int, table: PrimeTable) -> DusartCheck:
     passed = compare_strict(pi_n, upper) == PASS and (
         not lower_applicable or compare_strict(lower, pi_n) == PASS
     )
-    return DusartCheck(n, lower, pi_n, upper, lower_applicable, passed)
+    return _dusart_check((n, lower, pi_n, upper, lower_applicable, passed))
 
 
 def check_rosser(n: int, table: PrimeTable) -> BoundReport:
@@ -222,7 +241,7 @@ def check_rosser(n: int, table: PrimeTable) -> BoundReport:
     lhs = n * math.log(n)
     rhs = float(p_n)
     # label, x_or_m, lhs, rhs, observed, applicable, verdict
-    return BoundReport("rosser", n, lhs, rhs, p_n, True, compare_strict(lhs, rhs))
+    return _bound_report(("rosser", n, lhs, rhs, p_n, True, compare_strict(lhs, rhs)))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,10 @@ being rounded into a pass or a fail.
 
 Records here and in ``primes``, ``windows`` and ``bounds`` are immutable
 ``NamedTuple``s: they compare as tuples of their values, and ``_fields``,
-``_asdict`` and ``_replace`` serve for reflection and copies.
+``_asdict`` and ``_replace`` serve for reflection and copies. The two hot
+sites, ``primes.check_rosser`` and ``primes.check_dusart``, build theirs
+through a maker, ``functools.partial(tuple.__new__, cls)``, from one tuple
+of the fields in order, skipping the generated ``__new__``'s Python frame.
 """
 
 from __future__ import annotations

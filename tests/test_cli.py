@@ -568,6 +568,19 @@ def test_a_full_stdout_or_stderr_gets_the_contract_code(argv, full, code):
         assert proc.stderr.count(b"\n") == 1 and proc.stderr.endswith(b"\n")
 
 
+# a host program may call main again and again: each failed write points
+# the stream at the null device and keeps no descriptor of its own open
+def test_an_unwritable_stream_leaves_no_descriptor_open():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with os.fdopen(write_end, "wb") as stream:
+        before = len(os.listdir("/dev/fd"))
+        for _ in range(5):
+            assert cpsq.cli._unwritable(stream, BrokenPipeError(), 1) == 1
+        assert len(os.listdir("/dev/fd")) == before
+        stream.write(b"taken by the null device")
+
+
 # x past a float's range (1.8e308), x whose window cap needs primes past
 # MAX_LIMIT, a shorthand too long to build in seconds, and an empty grid
 # or one below 2:

@@ -83,6 +83,14 @@ def test_square_prefix_invariants(table_small):
         assert table_small.prefix_sum(k) == exact
 
 
+@pytest.mark.parametrize("k", [-1, 26])
+def test_prefix_sum_outside_the_table_names_the_range(k):
+    table = sieve_primes(100)  # 25 primes: S_0 .. S_25
+    assert table.prefix_sum(0) == 0 and table.prefix_sum(25) == 65796
+    with pytest.raises(ValueError, match=rf"must be in 0\.\.25 .*got {k}$"):
+        table.prefix_sum(k)
+
+
 def test_primes_array_is_read_only(table_small):
     with pytest.raises(ValueError):
         table_small.primes[0] = 9

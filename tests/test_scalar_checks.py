@@ -199,12 +199,19 @@ RECORD_VALUES = [
 ]
 
 
-@pytest.fixture(params=RECORD_VALUES, ids=lambda p: f"{p[0].__name__}-{p[1][0]}")
+# the makers the checks build their records with, from one tuple of values
+MAKERS = {BoundReport: cpsq.primes._bound_report, DusartCheck: cpsq.primes._dusart_check}
+
+
+@pytest.fixture(
+    params=[(row, False) for row in RECORD_VALUES] + [(row, True) for row in RECORD_VALUES],
+    ids=lambda p: f"{p[0][0].__name__}-{p[0][1][0]}" + ("-maker" if p[1] else ""),
+)
 def built(request):
-    """A record class, its field values in order and the record built
-    positionally from them."""
-    cls, values = request.param
-    return cls, values, cls(*values)
+    """A record class, its field values in order and the record built from
+    them: positionally, or by the maker the checks use."""
+    (cls, values), by_maker = request.param
+    return cls, values, MAKERS[cls](values) if by_maker else cls(*values)
 
 
 @pytest.mark.parametrize("cls", [BoundReport, DusartCheck])

@@ -25,7 +25,15 @@ from cpsq import (
     record_to_dict,
     serialize_report,
 )
-from cpsq.serialize import VALUE_CHUNK, _render_values, to_csv, to_json, to_text, write_values
+from cpsq.serialize import (
+    FORMATS,
+    VALUE_CHUNK,
+    _render_values,
+    to_csv,
+    to_json,
+    to_text,
+    write_values,
+)
 from oracles import printed_values
 
 SAMPLE_BOUND = BoundReport(
@@ -189,7 +197,8 @@ def test_write_values_across_chunk_edges(fmt):
 
 def test_write_values_writes_chunk_by_chunk():
     # each chunk is written as the uint8 array it was rendered into, not as
-    # a bytes copy; the array is copied here, since its buffer is reused
+    # a bytes copy; the array is copied here, since its buffer is reused;
+    # in every format, no values write no array at all
     writes = []
 
     class Sink:
@@ -200,6 +209,11 @@ def test_write_values_writes_chunk_by_chunk():
     chunks = [(kind, data) for kind, data in writes if data]
     assert [data.count(b"\n") for _, data in chunks] == [VALUE_CHUNK, VALUE_CHUNK, 1]
     assert {kind for kind, _ in chunks} == {np.ndarray}
+    for fmt in FORMATS:
+        for values in ([], [4]):
+            writes.clear()
+            write_values(np.array(values, dtype=np.uint64), fmt, Sink())
+            assert (np.ndarray in {kind for kind, _ in writes}) == bool(values)
 
 
 def test_write_values_unknown_format():
@@ -343,43 +357,3 @@ def test_write_values_holds_a_bounded_number_of_rendered_chunks(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= (2 * workers + 2) * longest + workers * 20 * VALUE_CHUNK + 2**16, peak
-
-
-# ---------------------------------------------------------------------------
-# the byte path: a binary stream, as the CLI hands over, takes the ASCII
-# bytes of the str form, each chunk as the array it was rendered into
-# ---------------------------------------------------------------------------
-
-class Recorded(io.BytesIO):
-    """A binary stream that keeps the type of everything written to it."""
-
-    def __init__(self):
-        super().__init__()
-        self.kinds = set()
-
-    def write(self, data):
-        self.kinds.add(type(data))
-        return super().write(data)
-
-
-def written_bytes(values, fmt):
-    raw = Recorded()
-    write_values(np.array(values, dtype=np.uint64), fmt, raw)
-    return raw.getvalue(), np.ndarray in raw.kinds
-
-
-byte_path_cases = [
-    [],
-    [4],
-    list(range(1, VALUE_CHUNK + 1)),
-    list(range(1, VALUE_CHUNK + 2)),
-    [10**k + d for k in range(20) for d in (-1, 0) if 10**k + d >= 0] + [2**64 - 1],
-]
-
-
-@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
-@pytest.mark.parametrize("values", byte_path_cases, ids=lambda v: f"{len(v)}-values")
-def test_the_byte_path_writes_the_bytes_of_the_str_path(values, fmt):
-    data, as_bytes = written_bytes(values, fmt)
-    assert data == printed_values(values, fmt).encode("ascii")
-    assert as_bytes == bool(values)
