@@ -3,7 +3,8 @@
 Subcommands: count, list, find, maxlen, verify, table-check. Results go to
 stdout in text (default), JSON, or CSV; diagnostics go to stderr. Every
 command writes ASCII bytes with "\n" line ends to stdout's binary layer,
-whatever stdout's encoding, and ends its output with one newline. Exit
+whatever stdout's encoding, or the same text to a stdout that has no binary
+layer (an ``io.StringIO``), and ends its output with one newline. Exit
 codes: 0 success / all checks pass, 1 a bound check failed, 2 bad usage or
 argument values, 3 a resource refusal (sieve request too large) or an
 output that cannot be written (a full disk, a stdout not open for writing).
@@ -31,6 +32,7 @@ import os
 import re
 import sys
 from math import isqrt, log10
+from types import SimpleNamespace
 from typing import NamedTuple
 
 if "numpy" not in sys.modules:
@@ -316,7 +318,9 @@ def run(config: CliConfig) -> int:
     except (ResourceLimitError, ValueError) as exc:
         _to_stderr(f"error: {exc}")
         return 3 if isinstance(exc, ResourceLimitError) else 2
-    out = sys.stdout.buffer
+    out = getattr(sys.stdout, "buffer", None)
+    if out is None:  # a text-only stdout, such as an io.StringIO: the same ASCII
+        out = SimpleNamespace(write=lambda data: sys.stdout.write(str(data, "ascii")))
     try:
         if isinstance(output, str):
             out.write(output.encode("ascii") + b"\n")

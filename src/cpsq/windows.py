@@ -22,14 +22,13 @@ strictly increasing in m. Those two monotonicities drive everything here:
   (n, m) with n >= 3 has value = m (mod 24) and equal values share a class
   of value mod 24. Each class is a cache-sized sort of its own, and each
   thread holds one class buffer at a time.
-* values_up_to needs one ascending array instead: past SPLIT_WINDOWS it
-  partitions its one value buffer in place at evenly spaced ranks into
-  bands, every value of a band at most every value of the next, sorts the
-  bands and finds their repeats with _sort, one band a thread, and closes
-  up the repeats inside the buffer.
+* values_up_to needs one ascending array instead: it sorts its one value
+  buffer whole with _sort on the calling thread, at any size, and closes up
+  the repeats inside the buffer.
 
-Both split on _thread_map: fixed stripes of items, the calling thread's
-first, whose results come back in item order, two at most a thread ahead.
+The class split runs on _thread_map: fixed stripes of items, the calling
+thread's first, whose results come back in item order, two at most a
+thread ahead.
 
 Prefix sums are held mod 2^64, so a difference is a window's true value
 only below 2^64; the walk states why its probes stay there.
@@ -178,9 +177,8 @@ def count_windows(x: int, table: PrimeTable) -> list[int]:
 
 
 SPLIT_WINDOWS = 1 << 20
-"""count_sums and values_up_to dedup fewer windows than this in one piece
-on the calling thread; more, count_sums by residue class and values_up_to
-by value band, on up to _workers() threads."""
+"""count_sums dedups fewer windows than this in one piece on the calling
+thread; more, by residue class on up to _workers() threads."""
 
 _CLASSES = 24
 
@@ -424,36 +422,17 @@ def find_representations(target: int, table: PrimeTable) -> list[Representation]
 
 def values_up_to(x: int, table: PrimeTable) -> np.ndarray:
     """The distinct representable values <= x, ascending, as a read-only
-    uint64 array: a prefix of the one value buffer, 9 bytes a window in
-    all, refused past primes.MAX_SIEVE_BYTES.
-
-    Past SPLIT_WINDOWS windows the buffer is partitioned in place at
-    _workers() - 1 evenly spaced ranks into bands, each sorted on its own
-    thread by _sort, whose order check finds the band's repeats; below it
-    there is one band, on the calling thread.
+    uint64 array: a prefix of the one value buffer, sorted in place by _sort
+    on the calling thread, 9 bytes a window in all, refused past
+    primes.MAX_SIEVE_BYTES.
     """
     counts = _walk(_covered(x, table), table)
     total = sum(counts)
     _refuse_past_ceiling(total, 9 * total)
     values = _window_values(counts, table)
-    bands = _workers() if total >= SPLIT_WINDOWS else 1
-    edges = [total * b // bands for b in range(bands + 1)]
-    if bands > 1:
-        values.partition(edges[1:-1])
-
-    def band(b: int) -> list[int]:
-        """Sort band b; the indices in it of its repeats."""
-        lo, hi = edges[b], edges[b + 1]
-        return (_sort(values[lo:hi]) + lo).tolist()
-
-    repeats: list[int] = []
-    _thread_map(band, range(bands), repeats.extend)
-    # the buffer is now sorted, and a band's first value can repeat only the
-    # last of the band before; then each run between repeats moves left past
-    # the repeats before it (numpy copies an overlapping 1-D slice in order,
-    # without a temporary)
-    repeats += [e for e in set(edges[1:-1]) if 0 < e < total and values[e - 1] == values[e]]
-    ends = [*sorted(repeats), total]
+    # each run between repeats moves left past the repeats before it (numpy
+    # copies an overlapping 1-D slice in order, without a temporary)
+    ends = [*_sort(values).tolist(), total]
     for shift, (r, end) in enumerate(zip(ends, ends[1:]), 1):
         values[r + 1 - shift : end - shift] = values[r + 1 : end]
     distinct = values[: total + 1 - len(ends)]

@@ -147,6 +147,24 @@ def test_every_output_is_ascii_and_ends_with_one_newline(command, fmt):
     assert out.endswith(b"\n") and b"\n\n" not in out
 
 
+@pytest.mark.parametrize(
+    "command",
+    ["count 100", "count 10^12 --format json", "list 1000", "list 10^9 --format json",
+     "find 2020", "find 3 --format csv", "count 0"],
+)
+def test_a_text_only_stdout_gets_the_same_text_and_exit_code(command):
+    # main(argv) called from code under an io.StringIO, which has no binary
+    # layer; list 10^9 writes two value chunks
+    got = []
+    for out in (binary_stdout(), io.StringIO()):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(command.split())
+        text = out.buffer.getvalue().decode("ascii") if hasattr(out, "buffer") else out.getvalue()
+        got.append((code, text))
+    assert got[0] == got[1]
+    assert got[0][0] == (2 if command == "count 0" else 0)
+
+
 def test_count_modes(capsys):
     code, out, _ = run_cli(capsys, "count", "5000", "--count-mode", "distinct")
     assert code == 0 and out == "x=5000 distinct=91\n"

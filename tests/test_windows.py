@@ -167,7 +167,7 @@ def test_enumeration_matches_oracle(x, table_small):
     assert as_tuples(enumerate_representations(x, table_small)) == oracle_windows(x)
 
 
-@pytest.mark.parametrize("x", [4, 100, 5000, 12345])
+@pytest.mark.parametrize("x", [4, 13, 50, 100, 5000, 12345])
 def test_distinct_values_match_oracle(x, table_small):
     assert values_up_to(x, table_small).tolist() == oracle_distinct_values(x)
 
@@ -367,19 +367,12 @@ def thread_census(monkeypatch):
 def test_values_up_to_and_small_counts_start_no_thread(table_small, monkeypatch, thread_census):
     distinct = count_sums(10**8, table_small).distinct_count
     assert distinct == values_up_to(10**8, table_small).size
-    assert thread_census.started == 0  # below SPLIT_WINDOWS: one piece
-    # past it, values_up_to runs on up to _workers() threads, the caller's
-    # included, and leaves none running
+    # SPLIT_WINDOWS splits count_sums alone: values_up_to is one piece at any size
     monkeypatch.setattr(cpsq.windows, "SPLIT_WINDOWS", 1)
-    before = threading.active_count()
-    for workers in (1, 2, 3, 4):
-        monkeypatch.setattr(cpsq.windows, "_workers", lambda: workers)
-        thread_census.started = thread_census.peak = 0
-        assert values_up_to(10**8, table_small).size == distinct
-        assert values_up_to(5000, table_small).tolist() == list(REFERENCE_VALUES)
-        assert 1 + thread_census.peak <= workers
-        assert (thread_census.started > 0) == (workers > 1)
-        assert threading.active_count() == before
+    monkeypatch.setattr(cpsq.windows, "_workers", lambda: 4)
+    assert values_up_to(10**8, table_small).size == distinct
+    assert values_up_to(5000, table_small).tolist() == list(REFERENCE_VALUES)
+    assert thread_census.started == 0
 
 
 def test_an_error_in_one_class_reaches_the_caller(table_small, monkeypatch):
@@ -609,85 +602,26 @@ def test_dedup_past_the_first_repeat_matches_oracle(table_big, oracle_to_1e9, x,
 
 
 # ---------------------------------------------------------------------------
-# values_up_to split into value bands (SPLIT_WINDOWS patched low, so that
-# small x take the banded path)
+# values_up_to: one sort of its whole value buffer, then the repeats closed
+# up in place
 # ---------------------------------------------------------------------------
 
-def banded_values(x, table, workers):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cpsq.windows, "SPLIT_WINDOWS", 1)
-        mp.setattr(cpsq.windows, "_workers", lambda: workers)
-        return values_up_to(x, table)
-
-
-@pytest.mark.parametrize("workers", [1, 2, 3, 4])
-def test_banded_values_at_every_repeated_value(table_big, oracle_to_1e9, workers):
+def test_values_up_to_at_every_repeated_value(table_big, oracle_to_1e9):
     values, distinct = oracle_to_1e9
     repeated = values[1:][values[1:] == values[:-1]].tolist()
     for v in repeated:
         for x in (v - 1, v):
-            got = banded_values(x, table_big, workers)
+            got = values_up_to(x, table_big)
             assert np.array_equal(got, distinct[: np.searchsorted(distinct, x, side="right")])
             assert not got.flags.writeable
 
 
-@pytest.mark.parametrize("workers", [2, 3, 4])
-def test_banded_values_with_a_repeat_split_by_a_band_edge(table_big, oracle_to_1e9, workers):
-    # x is chosen so that the windows <= x number T, and a band edge falls
-    # between the two windows of a repeated value: at rank r + 1, where
-    # values[r] == values[r + 1]
-    values, distinct = oracle_to_1e9
-    split = 0
-    for r in np.flatnonzero(values[1:] == values[:-1]).tolist():
-        for b in range(1, workers):
-            total = -(-(r + 1) * workers // b)  # the least T with T * b // w >= r + 1
-            if total >= values.size or total * b // workers != r + 1:
-                continue  # no such T below 10^9
-            if values[total - 1] == values[total]:
-                continue  # no x has exactly T windows
-            x = int(values[total - 1])
-            got = banded_values(x, table_big, workers)
-            assert np.array_equal(got, distinct[: np.searchsorted(distinct, x, side="right")])
-            split += 1
-    assert split >= 5  # 5, 10 and 16 edges on 2, 3 and 4 threads
-
-
-@given(st.integers(min_value=15 * 10**6, max_value=10**9), st.sampled_from([1, 2, 3, 4]))
+@given(st.integers(min_value=15 * 10**6, max_value=10**9))
 @settings(max_examples=40)
-def test_banded_values_past_the_first_repeat_match_oracle(table_big, oracle_to_1e9, x, workers):
+def test_values_up_to_past_the_first_repeat_matches_oracle(table_big, oracle_to_1e9, x):
     values, distinct = oracle_to_1e9
-    got = banded_values(x, table_big, workers)
+    got = values_up_to(x, table_big)
     assert np.array_equal(got, distinct[: np.searchsorted(distinct, x, side="right")])
-
-
-def test_banded_values_with_more_bands_than_windows(table_small):
-    for x in (1, 4, 13, 50, 100):
-        assert banded_values(x, table_small, 24).tolist() == oracle_distinct_values(x)
-
-
-def test_an_error_in_one_band_reaches_the_caller(table_small, monkeypatch):
-    real = cpsq.windows._window_values
-    calls = []
-
-    class FailingSort(np.ndarray):
-        """A value buffer whose second band sort fails."""
-
-        def sort(self, *args, **kwargs):
-            calls.append(1)
-            if len(calls) == 2:
-                raise MemoryError("band 2")
-            super().sort(*args, **kwargs)
-
-    def failing(*args):
-        return real(*args).view(FailingSort)
-
-    monkeypatch.setattr(cpsq.windows, "_window_values", failing)
-    before = threading.active_count()
-    for workers in (2, 3):
-        calls.clear()
-        with pytest.raises(MemoryError, match="band 2"):
-            banded_values(10**6, table_small, workers)
-        assert threading.active_count() == before
 
 
 def traced_peak(call):
@@ -703,16 +637,19 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
-def test_banded_values_keep_to_9_bytes_a_window(table_big, monkeypatch):
+def test_values_up_to_keeps_to_9_bytes_a_window_on_one_thread(
+    table_big, monkeypatch, thread_census
+):
     report = count_sums(5 * 10**10, table_big)
     windows = report.multiplicity_count
     assert windows == 1_391_139 > cpsq.windows.SPLIT_WINDOWS
-    for workers in (1, 2, 4):
-        monkeypatch.setattr(cpsq.windows, "_workers", lambda: workers)
-        peak, values = traced_peak(lambda: values_up_to(5 * 10**10, table_big))
-        # plus the walk's small arrays
-        assert peak <= 9 * windows + (1 << 20), (workers, peak)
-        assert values.size == report.distinct_count
+    monkeypatch.setattr(cpsq.windows, "_workers", lambda: 4)
+    thread_census.started = 0
+    peak, values = traced_peak(lambda: values_up_to(5 * 10**10, table_big))
+    # plus the walk's small arrays
+    assert peak <= 9 * windows + (1 << 20), peak
+    assert values.size == report.distinct_count
+    assert thread_census.started == 0
 
 
 # ---------------------------------------------------------------------------
@@ -783,10 +720,9 @@ def test_dedup_sort_skips_doubles_where_denormals_compare_as_zero(monkeypatch):
     assert values.tolist() == [1, 1, 2, 3]
 
 
-@pytest.mark.parametrize("workers", [2, 3, 4])
-def test_banded_values_with_equal_values_across_a_band_edge(table_small, monkeypatch, workers):
-    # each three window values made equal to the first of them, so that
-    # band edges fall between equal values
+def test_values_up_to_with_runs_of_equal_values(table_small, monkeypatch):
+    # each three window values made equal to the first of them, so that the
+    # compaction closes up runs of more than two equal values
     real = cpsq.windows._window_values
 
     def in_threes(*args):
@@ -797,7 +733,5 @@ def test_banded_values_with_equal_values_across_a_band_edge(table_small, monkeyp
     x = 10**5
     windows = [value for _, _, value in oracle_windows(x)]  # by (length, start), as filled
     crafted = np.array(windows, dtype=np.uint64)[np.arange(len(windows)) // 3 * 3]
-    ordered = np.sort(crafted)
-    edges = [len(windows) * b // workers for b in range(1, workers)]
-    assert any(ordered[e - 1] == ordered[e] for e in edges)
-    assert banded_values(x, table_small, workers).tolist() == sorted(set(crafted.tolist()))
+    assert max(Counter(crafted.tolist()).values()) > 2
+    assert values_up_to(x, table_small).tolist() == sorted(set(crafted.tolist()))
