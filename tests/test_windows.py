@@ -606,12 +606,22 @@ def test_dedup_past_the_first_repeat_matches_oracle(table_big, oracle_to_1e9, x,
 # up in place
 # ---------------------------------------------------------------------------
 
-def test_values_up_to_at_every_repeated_value(table_big, oracle_to_1e9):
+def values_with_split_knobs(x, table, workers):
+    """values_up_to with SPLIT_WINDOWS and _workers patched as count_sums'
+    split reads them: values_up_to sorts in one piece whatever they say."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cpsq.windows, "SPLIT_WINDOWS", 1)
+        mp.setattr(cpsq.windows, "_workers", lambda: workers)
+        return values_up_to(x, table)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_banded_values_at_every_repeated_value(table_big, oracle_to_1e9, workers):
     values, distinct = oracle_to_1e9
     repeated = values[1:][values[1:] == values[:-1]].tolist()
     for v in repeated:
         for x in (v - 1, v):
-            got = values_up_to(x, table_big)
+            got = values_with_split_knobs(x, table_big, workers)
             assert np.array_equal(got, distinct[: np.searchsorted(distinct, x, side="right")])
             assert not got.flags.writeable
 
@@ -720,7 +730,8 @@ def test_dedup_sort_skips_doubles_where_denormals_compare_as_zero(monkeypatch):
     assert values.tolist() == [1, 1, 2, 3]
 
 
-def test_values_up_to_with_runs_of_equal_values(table_small, monkeypatch):
+@pytest.mark.parametrize("workers", [2, 3, 4])
+def test_banded_values_with_equal_values_across_a_band_edge(table_small, monkeypatch, workers):
     # each three window values made equal to the first of them, so that the
     # compaction closes up runs of more than two equal values
     real = cpsq.windows._window_values
@@ -734,4 +745,5 @@ def test_values_up_to_with_runs_of_equal_values(table_small, monkeypatch):
     windows = [value for _, _, value in oracle_windows(x)]  # by (length, start), as filled
     crafted = np.array(windows, dtype=np.uint64)[np.arange(len(windows)) // 3 * 3]
     assert max(Counter(crafted.tolist()).values()) > 2
-    assert values_up_to(x, table_small).tolist() == sorted(set(crafted.tolist()))
+    got = values_with_split_knobs(x, table_small, workers)
+    assert got.tolist() == sorted(set(crafted.tolist()))
