@@ -6,8 +6,9 @@ command writes ASCII bytes with "\n" line ends to stdout's binary layer,
 whatever stdout's encoding, or the same text to a stdout that has no binary
 layer (an ``io.StringIO``), and ends its output with one newline. Exit
 codes: 0 success / all checks pass, 1 a bound check failed, 2 bad usage or
-argument values, 3 a resource refusal (sieve request too large) or an
-output that cannot be written (a full disk, a stdout not open for writing).
+argument values, 3 a resource refusal (a sieve limit or a dedup too large)
+or an output that cannot be written (a full disk, a stdout not open for
+writing).
 
 A reader that closes stdout early (``cpsq list 1e10 | head``) ends the
 output quietly: the command keeps the exit code it had already decided.
@@ -37,7 +38,7 @@ from typing import NamedTuple
 
 if "numpy" not in sys.modules:
     # cpsq calls no BLAS, yet numpy's OpenBLAS pool spins once numpy loads
-    # and takes a core from the dedup threads. OpenBLAS reads the limit as
+    # and competes with the calling thread. OpenBLAS reads the limit as
     # numpy loads it; with numpy loaded, setting it would reach only the
     # processes started later.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")

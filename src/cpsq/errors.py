@@ -11,9 +11,9 @@ import math
 
 
 class ResourceLimitError(RuntimeError):
-    """A sieve request was refused because it would exhaust memory.
-
-    The message includes the requested limit and the estimated allocation.
+    """A request was refused before it could exhaust memory: a sieve limit
+    past primes.MAX_LIMIT, or a dedup whose estimated value arrays pass
+    primes.MAX_SIEVE_BYTES. The message names the limit or the estimate.
     """
 
 

@@ -51,7 +51,7 @@ DUSART_LOWER_MIN_N = 17
 #: largest table limit: every p <= MAX_LIMIT has p^2 < 2^63
 MAX_LIMIT = isqrt(2**63 - 1)
 
-#: refuse sieve requests whose estimated allocation would pass this many bytes
+#: refuse a dedup whose estimated value arrays would pass this many bytes
 MAX_SIEVE_BYTES = 4 << 30
 
 CACHE_MAGIC = b"CPSQ2"
@@ -111,19 +111,6 @@ def _check_limit(limit: int) -> int:
     return limit
 
 
-def _estimated_output_bytes(limit: int) -> int:
-    if limit < 17:
-        count = 8
-    else:
-        # pi(x) < 1.2551 x / ln x for x > 1, so this over-estimates.
-        count = int(DUSART_UPPER_FACTOR * limit / math.log(limit)) + 16
-    segments = limit // (2 * ODDS_PER_SEGMENT) + 1
-    # 8 B a prime each for the chunks, the concatenated primes and
-    # square_prefix, which all live at once; one segment's mask; the base
-    # primes; an array object per chunk; a few fixed-size objects
-    return 24 * count + ODDS_PER_SEGMENT + 9 * isqrt(limit) + 320 * segments + 4096
-
-
 def _odd_sieve(limit: int) -> np.ndarray:
     """The primes <= limit, ascending, as int64: 2, then the odd primes one
     segment of ODDS_PER_SEGMENT odd candidates at a time, crossed off by the
@@ -150,21 +137,13 @@ def _odd_sieve(limit: int) -> np.ndarray:
 def sieve_primes(limit: int) -> PrimeTable:
     """Sieve all primes ``p <= limit`` into a PrimeTable.
 
-    An odd-only segmented sieve. Requests whose estimated allocation would
-    exceed MAX_SIEVE_BYTES, or whose limit is above MAX_LIMIT, raise
-    ResourceLimitError before anything is allocated.
+    An odd-only segmented sieve. A limit above MAX_LIMIT, the sieve's only
+    cap, raises ResourceLimitError before anything is allocated.
     """
     limit = int(limit)
     if limit < 0:
         raise ValueError(f"limit must be nonnegative, got {limit}")
-    # the limit cap first: past it, the float estimate may overflow
     _check_limit(limit)
-    est = _estimated_output_bytes(limit)
-    if est > MAX_SIEVE_BYTES:
-        raise ResourceLimitError(
-            f"sieving to limit={limit} needs an estimated {est} bytes, "
-            f"above the {MAX_SIEVE_BYTES} byte ceiling"
-        )
     return PrimeTable(limit, _odd_sieve(limit))
 
 

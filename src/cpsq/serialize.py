@@ -8,23 +8,21 @@ in declaration order and mappings keep their (ascending) insertion order.
 
 Value lists (``write_values``) skip the per-value Python objects: a sorted
 uint64 array is turned into ASCII bytes by numpy, 2^16 values at a time,
-storing each 4-digit group straight into its place in the output. The
-chunks are dealt in fixed stripes to up to one thread per CPU, the writing
-thread's among them, with scratch reused from chunk to chunk, and written
-in order to a binary stream, from output buffers reused once written.
+storing each 4-digit group straight into its place in the output. Each
+chunk is written to a binary stream before the next is rendered, with
+scratch and the output buffer reused from chunk to chunk.
 """
 
 from __future__ import annotations
 
 import io
-import threading
 from typing import Any, BinaryIO, Iterable, Sequence
 
 import numpy as np
 
 from .primes import DusartCheck
 from .reports import BoundReport
-from .windows import CountReport, Representation, _thread_map
+from .windows import CountReport, Representation
 from .bounds import WindowCap
 
 FORMATS = ("text", "json", "csv")
@@ -255,47 +253,26 @@ def write_values(values: np.ndarray, fmt: str, out: BinaryIO) -> None:
 
     text is one value a line, csv the same under a ``value`` header, json
     exactly ``json.dumps(list(values))`` and a newline. Values are rendered
-    VALUE_CHUNK at a time in windows._thread_map's fixed stripes: the
-    calling thread renders every w-th chunk and writes every chunk in
-    order, one ``write`` of a uint8 array a chunk, and each of the other
-    w - 1 threads holds at most two rendered chunks not yet written, w up
-    to windows._workers(); no Python object is made per value.
-
-    Each thread renders into scratch of its own, 20 bytes a value, and each
-    chunk into a buffer that an earlier chunk was written from, so the
-    buffers number at most the chunks in flight.
+    VALUE_CHUNK at a time and each chunk is written before the next is
+    rendered, one ``write`` of a uint8 array a chunk; no Python object is
+    made per value. The chunks share one scratch pair, 20 bytes a value,
+    and each renders into the buffer the chunk before it was written from,
+    unless that one is too short for it.
     """
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
     values = np.asarray(values, dtype=np.uint64)
     head, sep, tail = _VALUE_LAYOUT[fmt]
-    local = threading.local()
-    free: list[np.ndarray] = []  # output buffers already written out
-
-    def spare() -> np.ndarray | None:
-        """An output buffer already written out, if one is free."""
-        try:
-            return free.pop()
-        except IndexError:
-            return None
-
-    def render(start: int) -> np.ndarray:
-        if not hasattr(local, "scratch"):
-            local.scratch = (
-                np.empty((2, VALUE_CHUNK), dtype=np.uint64),
-                np.empty(VALUE_CHUNK, dtype=np.uint32),
-            )
-        # the spare buffer has no name here, so one too short for this chunk
-        # is freed as soon as _render_values replaces it
-        text = _render_values(values[start : start + VALUE_CHUNK], sep, spare(), local.scratch)
+    scratch = (
+        np.empty((2, VALUE_CHUNK), dtype=np.uint64),
+        np.empty(VALUE_CHUNK, dtype=np.uint32),
+    )
+    buffer = None  # the output buffer of the chunk last written
+    out.write(head)
+    for start in range(0, values.size, VALUE_CHUNK):
+        text = _render_values(values[start : start + VALUE_CHUNK], sep, buffer, scratch)
+        buffer = text.base  # the whole buffer the bytes are a prefix of
         if fmt == "json" and start + VALUE_CHUNK >= values.size:
             text = text[: -len(sep)]  # json's ", " goes between values only
-        return text
-
-    def put(text: np.ndarray) -> None:
         out.write(text)
-        free.append(text.base)  # the whole buffer the bytes are a prefix of
-
-    out.write(head)
-    _thread_map(render, range(0, values.size, VALUE_CHUNK), put)
     out.write(tail)

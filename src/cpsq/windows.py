@@ -18,17 +18,13 @@ strictly increasing in m. Those two monotonicities drive everything here:
   finds the repeats, which the distinct count leaves out; the number of
   windows alone needs no values at all, only the walk;
 * past SPLIT_WINDOWS windows, count_sums dedups 24 residue classes apart,
-  on a few threads: p^2 = 1 (mod 24) for every prime p >= 5, so a window
+  one after another: p^2 = 1 (mod 24) for every prime p >= 5, so a window
   (n, m) with n >= 3 has value = m (mod 24) and equal values share a class
-  of value mod 24. Each class is a cache-sized sort of its own, and each
-  thread holds one class buffer at a time.
+  of value mod 24. Each class is a cache-sized sort of its own, and only
+  one class buffer is held at a time.
 * values_up_to needs one ascending array instead: it sorts its one value
-  buffer whole with _sort on the calling thread, at any size, and closes up
-  the repeats inside the buffer.
-
-The class split runs on _thread_map: fixed stripes of items, the calling
-thread's first, whose results come back in item order, two at most a
-thread ahead.
+  buffer whole with _sort, at any size, and closes up the repeats inside
+  the buffer.
 
 Prefix sums are held mod 2^64, so a difference is a window's true value
 only below 2^64; the walk states why its probes stay there.
@@ -41,10 +37,8 @@ different windows; nothing here assumes they do or do not.
 
 from __future__ import annotations
 
-import os
-import threading
 from math import isqrt
-from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -177,84 +171,10 @@ def count_windows(x: int, table: PrimeTable) -> list[int]:
 
 
 SPLIT_WINDOWS = 1 << 20
-"""count_sums dedups fewer windows than this in one piece on the calling
-thread; more, by residue class on up to _workers() threads."""
+"""count_sums dedups fewer windows than this in one piece; more, one
+residue class at a time."""
 
 _CLASSES = 24
-
-_T = TypeVar("_T")
-_R = TypeVar("_R")
-
-
-def _workers() -> int:
-    """Threads for a split dedup or for rendering: the CPUs this process
-    may run on, at most one a residue class."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(cpus, _CLASSES)
-
-
-def _thread_map(
-    task: Callable[[_T], _R],
-    items: Sequence[_T],
-    consume: Callable[[_R], object],
-    threads: int | None = None,
-) -> None:
-    """Run ``task`` on every item on up to ``threads`` threads (default
-    _workers()) in fixed stripes: of every ``threads`` items in a row the
-    calling thread runs the first and daemon thread t the t-th; none is
-    started for one thread or one item. ``consume`` gets the results on
-    the calling thread in item order. A daemon thread hands its results
-    over through a queue of one, so it holds at most two not yet consumed.
-
-    Every thread has ended when this returns or raises. An exception in a
-    task ends its stripe and is raised here once the results before it are
-    consumed, the first in item order if several fail; an exception in
-    ``consume`` is raised as is. Either stops every stripe.
-    """
-    import queue  # here, so that importing cpsq never loads it
-
-    threads = max(1, min(_workers() if threads is None else threads, len(items)))
-    stop = threading.Event()
-    handoffs = [queue.Queue(1) for _ in range(threads - 1)]
-
-    def stripe(t: int, handoff: queue.Queue) -> None:
-        for i in range(t, len(items), threads):
-            if stop.is_set():
-                return
-            try:
-                handoff.put((task(items[i]), None))
-            except BaseException as exc:  # re-raised by the calling thread
-                handoff.put((None, exc))
-                return
-
-    workers: list[threading.Thread] = []
-    try:
-        for t in range(1, threads):
-            # daemon: an interrupt that ends the joins early must not leave
-            # the interpreter waiting at exit for the remaining tasks
-            worker = threading.Thread(target=stripe, args=(t, handoffs[t - 1]), daemon=True)
-            worker.start()
-            workers.append(worker)
-        for i, item in enumerate(items):
-            if i % threads:
-                result, error = handoffs[i % threads - 1].get()
-                if error is not None:
-                    raise error
-            else:
-                result = task(item)
-            consume(result)
-            del result  # not held while the next result is awaited or made
-    finally:
-        stop.set()
-        # once stop is set, a stripe puts at most once more: make room for it
-        for handoff in handoffs:
-            if handoff.full():
-                handoff.get_nowait()
-        for worker in workers:
-            worker.join()
 
 
 def _refuse_past_ceiling(windows: int, need: int) -> None:
@@ -339,12 +259,10 @@ def _distinct_by_class(counts: list[int], table: PrimeTable) -> int:
     """The number of distinct window values, as the sum over the 24 residue
     classes of each class's own distinct count.
 
-    w threads hold at most 9 bytes a window of the w largest classes, the
-    most that are ever sorted at once, plus 32 bytes a head value while the
-    heads are split. The most threads, up to _workers(), whose estimate
-    fits primes.MAX_SIEVE_BYTES run; when one thread does not fit, this
-    refuses before anything is allocated. An exception in any thread is
-    raised here once every thread has ended.
+    The classes are sorted one after another, so at most 9 bytes a window
+    of the largest class are held at once, plus 32 bytes a head value while
+    the heads are split; past primes.MAX_SIEVE_BYTES this refuses before
+    anything is allocated.
     """
     sp = table.square_prefix
     c = np.array(counts, dtype=np.int64)
@@ -360,19 +278,14 @@ def _distinct_by_class(counts: list[int], table: PrimeTable) -> int:
     sizes = np.bincount(np.arange(1, c.size + 1) % _CLASSES, tails, _CLASSES)
     sizes = sizes.astype(np.int64) + np.diff(cuts)
     long = counts[: np.count_nonzero(tails)]
-    # need[w - 1]: the estimate on w threads, growing with w
-    need = 9 * np.cumsum(np.sort(sizes)[::-1][: _workers()]) + 32 * heads.size
-    workers = max(int(np.count_nonzero(need <= primes.MAX_SIEVE_BYTES)), 1)
-    _refuse_past_ceiling(int(c.sum()), int(need[0]))
+    _refuse_past_ceiling(int(c.sum()), 9 * int(sizes.max()) + 32 * heads.size)
 
     def distinct(r: int) -> int:
+        # a class's values die with this frame, before the next class is made
         values = _window_values(long, table, r, heads[cuts[r] : cuts[r + 1]])
         return values.size - _sort(values).size
 
-    found: list[int] = []
-    largest_first = np.argsort(sizes)[::-1].tolist()
-    _thread_map(distinct, largest_first, found.append, workers)
-    return sum(found)
+    return sum(distinct(r) for r in range(_CLASSES))
 
 
 def count_sums(x: int, table: PrimeTable) -> CountReport:
@@ -382,9 +295,9 @@ def count_sums(x: int, table: PrimeTable) -> CountReport:
     that less the repeats _sort finds in the window values, 8 bytes each,
     with the one compare that checks their sorted order, so nothing
     per-object survives the pass. Past SPLIT_WINDOWS windows the sort runs
-    per residue class mod 24 on as many threads as fit. Raises
-    ResourceLimitError when the values and repeat marks held at once, on
-    one thread if split, would pass primes.MAX_SIEVE_BYTES.
+    per residue class mod 24, one class at a time. Raises
+    ResourceLimitError when the values and repeat marks held at once would
+    pass primes.MAX_SIEVE_BYTES.
     """
     x = _covered(x, table)
     counts = _walk(x, table)

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import cpsq.bounds
 import cpsq.cli
 import cpsq.primes
+import cpsq.windows
 from cpsq import (
     REFERENCE_VALUES,
     count_sums,
@@ -27,7 +28,6 @@ from cpsq import (
     sieve_primes,
 )
 from cpsq.cli import main
-from cpsq.primes import _estimated_output_bytes
 from cpsq.serialize import VALUE_CHUNK
 from oracles import printed_values
 
@@ -365,10 +365,9 @@ def test_no_command_reads_or_writes_a_table_file(argv, capsys, tmp_path, monkeyp
 def test_dedup_refusal_exits_3_and_multiplicity_still_answers(capsys, monkeypatch):
     x = 3 * 10**9
     windows = count_sums(x, sieve_primes(isqrt(x))).multiplicity_count
-    # a ceiling the sieve passes but the 9 bytes a window of the dedup do not
-    ceiling = _estimated_output_bytes(isqrt(x))
-    assert ceiling < 9 * windows
-    monkeypatch.setattr(cpsq.primes, "MAX_SIEVE_BYTES", ceiling)
+    # one byte short of the 9 bytes a window of the one-piece dedup
+    assert windows < cpsq.windows.SPLIT_WINDOWS
+    monkeypatch.setattr(cpsq.primes, "MAX_SIEVE_BYTES", 9 * windows - 1)
     for argv in (
         ["count", str(x)],
         ["count", str(x), "--format", "json"],

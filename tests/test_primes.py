@@ -23,7 +23,7 @@ from cpsq import (
     save_table,
     sieve_primes,
 )
-from cpsq.primes import MAX_LIMIT, _estimated_output_bytes
+from cpsq.primes import MAX_LIMIT
 from oracles import prime_count_naive, trial_division_primes
 
 ORACLE_PRIMES_2048 = trial_division_primes(2048)
@@ -188,28 +188,11 @@ def test_rosser_sweep_to_1229(table_small):
 # resource ceiling
 # ---------------------------------------------------------------------------
 
-def test_oversized_sieve_is_refused_before_allocating(monkeypatch):
-    # past MAX_LIMIT by the limit alone, which no float estimate precedes
+def test_oversized_sieve_is_refused_before_allocating():
+    # MAX_LIMIT is the sieve's only cap, checked before anything is made
     for limit in (10**15, 10**700):
         with pytest.raises(ResourceLimitError, match="above the supported"):
             sieve_primes(limit)
-    # below it by the estimate, under a lowered ceiling: at MAX_LIMIT the
-    # estimate, 4.19e9 bytes, is just under the 4 GiB one
-    monkeypatch.setattr(cpsq.primes, "MAX_SIEVE_BYTES", 1 << 20)
-    with pytest.raises(ResourceLimitError, match="bytes"):
-        sieve_primes(10**7)
-
-
-@pytest.mark.parametrize("limit", [10**6, 10**7])
-def test_memory_estimate_covers_the_traced_peak(limit):
-    tracemalloc.start()
-    try:
-        table = sieve_primes(limit)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(table) > 0
-    assert _estimated_output_bytes(limit) >= peak
 
 
 def test_limit_cap_is_refused_before_allocating(monkeypatch):

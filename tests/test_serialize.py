@@ -2,17 +2,12 @@
 
 import io
 import json
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-import cpsq.serialize
-import cpsq.windows
 
 from cpsq import (
     BoundReport,
@@ -273,44 +268,7 @@ def many_chunks(n_chunks, seed=11):
     return values
 
 
-@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
-def test_write_values_in_order_on_more_threads_than_cpus(fmt, monkeypatch):
-    # buffers go back to the pool only once written: a chunk rendered into
-    # one too early would show here as another chunk's bytes
-    values = many_chunks(9)
-    expected = printed_values(values.tolist(), fmt)
-    monkeypatch.setattr(cpsq.windows, "_workers", lambda: 24)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(2):
-            assert written_values(values, fmt) == expected
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def test_an_error_in_one_render_reaches_the_caller(monkeypatch):
-    real = cpsq.serialize._render_values
-
-    def failing(chunk, sep, *buffers):
-        if chunk[0] == 3 * VALUE_CHUNK + 1:
-            raise MemoryError("chunk 3")
-        return real(chunk, sep, *buffers)
-
-    monkeypatch.setattr(cpsq.serialize, "_render_values", failing)
-    before = threading.active_count()
-    values = np.arange(1, 8 * VALUE_CHUNK + 1, dtype=np.uint64)
-    for workers in (1, 2, 4):
-        monkeypatch.setattr(cpsq.windows, "_workers", lambda: workers)
-        out = io.BytesIO()
-        with pytest.raises(MemoryError, match="chunk 3"):
-            write_values(values, "text", out)
-        assert threading.active_count() == before
-        written = out.getvalue().decode("ascii")
-        assert written == printed_values(list(range(1, 3 * VALUE_CHUNK + 1)), "text")
-
-
-def test_a_closed_stream_stops_the_writing(monkeypatch):
+def test_a_closed_stream_stops_the_writing():
     class Closed:
         def __init__(self):
             self.writes = 0
@@ -320,40 +278,33 @@ def test_a_closed_stream_stops_the_writing(monkeypatch):
             if self.writes == 3:  # the head, one chunk, then the pipe closes
                 raise BrokenPipeError
 
-    monkeypatch.setattr(cpsq.windows, "_workers", lambda: 4)
-    before = threading.active_count()
     stream = Closed()
     with pytest.raises(BrokenPipeError):
         write_values(many_chunks(12), "text", stream)
     assert stream.writes == 3
-    assert threading.active_count() == before
 
 
-def test_write_values_holds_a_bounded_number_of_rendered_chunks(monkeypatch):
-    # a slow stream lets the renderers run as far ahead as they may: a
-    # buffer for each of two chunks a thread and the one being written, one
-    # more while a spare too short for its chunk is replaced, each at most
-    # the longest chunk's text; a thread's scratch, 20 bytes a value; and
-    # under 64 kB that the threads and calls allocate besides
+def test_write_values_holds_a_bounded_number_of_rendered_chunks():
+    # one output buffer, and its replacement while one too short for the
+    # next chunk is replaced, each at most the longest chunk's text; the
+    # scratch pair, 20 bytes a value; and under 64 kB besides
     values = many_chunks(40)
     longest = max(
         len(printed_values(values[start : start + VALUE_CHUNK].tolist(), "text"))
         for start in range(0, values.size, VALUE_CHUNK)
     )
-    workers = 3
 
-    class Slow:
+    class Discard:
         def write(self, data):
-            threading.Event().wait(0.005)
+            pass
 
-    monkeypatch.setattr(cpsq.windows, "_workers", lambda: workers)
     tracemalloc.start()
     try:
-        write_values(values[:VALUE_CHUNK], "text", Slow())  # warm up
+        write_values(values[:VALUE_CHUNK], "text", Discard())  # warm up
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
-        write_values(values, "text", Slow())
+        write_values(values, "text", Discard())
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak <= (2 * workers + 2) * longest + workers * 20 * VALUE_CHUNK + 2**16, peak
+    assert peak <= 2 * longest + 20 * VALUE_CHUNK + 2**16, peak

@@ -1,17 +1,18 @@
 """Window enumeration, counting under both semantics, and exact lookups."""
 
+import io
 import sys
 import threading
 import tracemalloc
 from collections import Counter
 from math import isqrt
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cpsq.cli
 import cpsq.primes
 import cpsq.windows
 from cpsq import (
@@ -27,6 +28,7 @@ from cpsq import (
     sieve_primes,
     values_up_to,
 )
+from cpsq.serialize import FORMATS, VALUE_CHUNK, write_values
 from oracles import oracle_distinct_values, oracle_windows, reference_walk
 
 
@@ -250,23 +252,20 @@ def test_windows_past_the_second_prime_have_value_equal_to_length_mod_24(table_b
     assert checked > 10**5
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3])
-def test_split_counts_match_oracle(table_small, workers, monkeypatch):
+def test_split_counts_match_oracle(table_small, monkeypatch):
     # at 4, 13 and 100 the windows from 2 and 3 are alone in their classes
     monkeypatch.setattr(cpsq.windows, "SPLIT_WINDOWS", 1)
-    monkeypatch.setattr(cpsq.windows, "_workers", lambda: workers)
     for x in (1, 3, 4, 13, 100, 5000):
         report = count_sums(x, table_small)
         assert report.distinct_count == len(oracle_distinct_values(x))
         assert report.multiplicity_count == len(oracle_windows(x))
 
 
-@given(st.integers(min_value=1, max_value=10**6), st.sampled_from([1, 2, 3]))
+@given(st.integers(min_value=1, max_value=10**6))
 @settings(max_examples=60)
-def test_split_distinct_count_matches_oracle(table_small, x, workers):
+def test_split_distinct_count_matches_oracle(table_small, x):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cpsq.windows, "SPLIT_WINDOWS", 1)
-        mp.setattr(cpsq.windows, "_workers", lambda: workers)
         assert count_sums(x, table_small).distinct_count == len(oracle_distinct_values(x))
 
 
@@ -289,28 +288,6 @@ def test_each_class_holds_the_windows_of_its_residue(table_small, monkeypatch):
         assert all(v % 24 == r for v in values)
     windows = sorted(rep.value for rep in enumerate_representations(10**6, table_small))
     assert sorted(v for values in classes.values() for v in values) == windows
-
-
-def test_split_with_more_threads_than_cpus_sorts_each_class_once(table_small, monkeypatch):
-    real = cpsq.windows._window_values
-    sorted_classes = []  # list.append is atomic, unlike a Counter's +=
-
-    def counting(counts, table, residue=None, heads=None):
-        sorted_classes.append(residue)
-        return real(counts, table, residue, heads)
-
-    expected = count_sums(10**8, table_small).distinct_count  # one piece
-    monkeypatch.setattr(cpsq.windows, "SPLIT_WINDOWS", 1)
-    monkeypatch.setattr(cpsq.windows, "_workers", lambda: 24)
-    monkeypatch.setattr(cpsq.windows, "_window_values", counting)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(5):
-            assert count_sums(10**8, table_small).distinct_count == expected
-    finally:
-        sys.setswitchinterval(interval)
-    assert Counter(sorted_classes) == Counter({r: 5 for r in range(24)})
 
 
 def test_split_counts_at_1e12_and_1e13(table_big):
@@ -342,55 +319,20 @@ def test_every_repeat_at_1e12_is_re_derived_in_exact_integers(table_big):
     assert extra == report.multiplicity_count - report.distinct_count == 40
 
 
-@pytest.fixture
-def thread_census(monkeypatch):
-    """Counts the threads cpsq starts, and the most running at once."""
-    census = SimpleNamespace(started=0, running=0, peak=0)
-    lock = threading.Lock()
+def test_nothing_starts_a_thread(table_big, monkeypatch, tmp_path):
+    def refused(*args, **kwargs):
+        raise AssertionError("a thread was started")
 
-    class Counted(threading.Thread):
-        def run(self):
-            with lock:
-                census.started += 1
-                census.running += 1
-                census.peak = max(census.peak, census.running)
-            try:
-                super().run()
-            finally:
-                with lock:
-                    census.running -= 1
-
-    monkeypatch.setattr(cpsq.windows.threading, "Thread", Counted)
-    return census
-
-
-def test_values_up_to_and_small_counts_start_no_thread(table_small, monkeypatch, thread_census):
-    distinct = count_sums(10**8, table_small).distinct_count
-    assert distinct == values_up_to(10**8, table_small).size
-    # SPLIT_WINDOWS splits count_sums alone: values_up_to is one piece at any size
-    monkeypatch.setattr(cpsq.windows, "SPLIT_WINDOWS", 1)
-    monkeypatch.setattr(cpsq.windows, "_workers", lambda: 4)
-    assert values_up_to(10**8, table_small).size == distinct
-    assert values_up_to(5000, table_small).tolist() == list(REFERENCE_VALUES)
-    assert thread_census.started == 0
-
-
-def test_an_error_in_one_class_reaches_the_caller(table_small, monkeypatch):
-    real = cpsq.windows._window_values
-
-    def failing(counts, table, residue=None, heads=None):
-        if residue == 5:
-            raise MemoryError("class 5")
-        return real(counts, table, residue, heads)
-
-    monkeypatch.setattr(cpsq.windows, "SPLIT_WINDOWS", 1)
-    monkeypatch.setattr(cpsq.windows, "_window_values", failing)
-    before = threading.active_count()
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(cpsq.windows, "_workers", lambda: workers)
-        with pytest.raises(MemoryError, match="class 5"):
-            count_sums(10**6, table_small)
-        assert threading.active_count() == before
+    monkeypatch.setattr(threading, "Thread", refused)
+    assert cpsq.windows.SPLIT_WINDOWS < 8_867_094  # the class split
+    assert count_sums(10**12, table_big).distinct_count == 8_867_054
+    values = values_up_to(10**10, table_big)
+    assert values.size > 4 * VALUE_CHUNK
+    for fmt in FORMATS:
+        write_values(values, fmt, io.BytesIO())
+    with open(tmp_path / "out", "w") as out:
+        monkeypatch.setattr(sys, "stdout", out)
+        assert cpsq.cli.main(["list", "99000000000"]) == 0
 
 
 def test_split_refuses_on_the_classes_held_at_once(table_small, monkeypatch):
@@ -401,158 +343,16 @@ def test_split_refuses_on_the_classes_held_at_once(table_small, monkeypatch):
         heads += rep.start_index <= 2
     windows = sum(sizes)
     distinct = len(oracle_distinct_values(10**6))
-    # 9 bytes a window of the largest classes, one a thread, and 32 a head
-    estimate = [9 * sum(sorted(sizes)[-w:]) + 32 * heads for w in (1, 2, 3)]
-    assert estimate[-1] < 9 * windows
-    real_thread = threading.Thread
-    started = []
-
-    def counting_thread(*args, **kwargs):
-        started.append(1)
-        return real_thread(*args, **kwargs)
-
+    # 9 bytes a window of the largest class, the one held at once, and 32 a head
+    estimate = 9 * max(sizes) + 32 * heads
+    assert estimate < 9 * windows
     monkeypatch.setattr(cpsq.windows, "SPLIT_WINDOWS", 1)
-    monkeypatch.setattr(cpsq.windows.threading, "Thread", counting_thread)
-    for workers in (2, 3):
-        monkeypatch.setattr(cpsq.windows, "_workers", lambda: workers)
-        # one byte short for w threads: the call runs on w - 1 of them
-        for ceiling, threads in (
-            (estimate[workers - 1], workers),
-            (estimate[workers - 1] - 1, workers - 1),
-        ):
-            monkeypatch.setattr(cpsq.primes, "MAX_SIEVE_BYTES", ceiling)
-            started.clear()
-            report = count_sums(10**6, table_small)
-            assert (report.distinct_count, report.multiplicity_count) == (distinct, windows)
-            assert len(started) == threads - 1  # the caller is the first thread
-        # only when one thread does not fit is the count refused
-        monkeypatch.setattr(cpsq.primes, "MAX_SIEVE_BYTES", estimate[0] - 1)
-        refusal = f"{windows} window values .* {estimate[0]} bytes"
-        with pytest.raises(ResourceLimitError, match=refusal):
-            count_sums(10**6, table_small)
-
-
-# ---------------------------------------------------------------------------
-# _thread_map on its own: fixed stripes, results in item order, at most two
-# results a daemon thread not yet consumed, errors in item order
-# ---------------------------------------------------------------------------
-
-#: the Thread class itself, which thread_census replaces in threading
-UNCOUNTED_THREAD = threading.Thread
-
-
-def thread_map(task, items, consume, threads):
-    """_thread_map called from a thread of its own, so that a hang fails the
-    test in 10 s rather than stopping the suite; re-raises what it raised
-    and returns the id of the thread that called it."""
-    outcome = {}
-
-    def call():
-        outcome["caller"] = threading.get_ident()
-        try:
-            cpsq.windows._thread_map(task, items, consume, threads)
-        except BaseException as exc:
-            outcome["error"] = exc
-
-    runner = UNCOUNTED_THREAD(target=call, daemon=True)
-    runner.start()
-    runner.join(10)
-    assert not runner.is_alive(), "_thread_map has not returned after 10 s"
-    if "error" in outcome:
-        raise outcome["error"]
-    return outcome["caller"]
-
-
-def test_thread_map_runs_fixed_stripes_and_consumes_in_item_order(thread_census):
-    for threads in (1, 2, 3, 5):
-        ran_on = {}
-        thread_census.started = 0
-
-        def task(i):
-            ran_on[i] = threading.get_ident()
-            threading.Event().wait(1e-4 * (i * 7 % 5))  # finish out of order
-            return i * i
-
-        got = []
-        caller = thread_map(task, range(100), got.append, threads)
-        assert got == [i * i for i in range(100)]
-        # item i runs on stripe i % threads; stripe 0 is the calling thread's
-        stripes = [{ran_on[i] for i in range(t, 100, threads)} for t in range(threads)]
-        assert stripes[0] == {caller}
-        assert all(len(s) == 1 for s in stripes)
-        assert len(set().union(*stripes)) == threads
-        assert thread_census.started == threads - 1
-
-
-def test_thread_map_holds_at_most_two_results_a_daemon_thread():
-    # counted as each task starts: the items of its stripe that have started
-    # past the one the calling thread has reached, which it may already hold
-    threads, lock = 3, threading.Lock()
-    started, reached, most = [], [0], [0] * threads
-
-    def task(i):
-        with lock:
-            started.append(i)
-            ahead = [j for j in started if j % threads == i % threads and j > reached[0]]
-            most[i % threads] = max(most[i % threads], len(ahead))
-        return i
-
-    def consume(i):
-        with lock:
-            reached[0] = i + 1
-        threading.Event().wait(0.002)  # slow, so the stripes run ahead
-
-    thread_map(task, range(60), consume, threads)
-    assert sorted(started) == list(range(60))
-    assert max(most[1:]) <= 2, most
-
-
-@pytest.mark.parametrize("threads", [1, 2, 3, 4])
-def test_thread_map_raises_the_first_error_after_the_results_before_it(threads):
-    before = threading.active_count()
-    for k in range(8):
-        def task(i):
-            if i == k:
-                threading.Event().wait(0.01)  # fails after item k + 1 does
-                raise ValueError(f"item {i}")
-            if i == k + 1:
-                raise KeyError(f"item {i}")
-            return i
-
-        got = []
-        with pytest.raises(ValueError, match=f"item {k}$"):
-            thread_map(task, range(20), got.append, threads)
-        assert got == list(range(k))
-        assert threading.active_count() == before
-
-
-@pytest.mark.parametrize("threads", [1, 2, 3])
-def test_thread_map_raises_an_error_in_consume_and_stops_the_stripes(threads):
-    before = threading.active_count()
-    started = []
-
-    def consume(i):
-        if i == 4:
-            raise KeyError("consume 4")
-
-    def task(i):
-        started.append(i)
-        return i
-
-    with pytest.raises(KeyError, match="consume 4"):
-        thread_map(task, range(1000), consume, threads)
-    # items 0..4, and at most two past item 4 a daemon thread
-    assert len(started) <= 5 + 2 * (threads - 1), started
-    assert threading.active_count() == before
-
-
-def test_thread_map_starts_no_thread_for_one_item_or_one_thread(monkeypatch, thread_census):
-    monkeypatch.setattr(cpsq.windows, "_workers", lambda: 4)
-    for items, threads in (([7], None), ([7], 4), (range(10), 1), ([], 4)):
-        got = []
-        thread_map(lambda i: -i, items, got.append, threads)
-        assert got == [-i for i in items]
-    assert thread_census.started == 0
+    monkeypatch.setattr(cpsq.primes, "MAX_SIEVE_BYTES", estimate)
+    report = count_sums(10**6, table_small)
+    assert (report.distinct_count, report.multiplicity_count) == (distinct, windows)
+    monkeypatch.setattr(cpsq.primes, "MAX_SIEVE_BYTES", estimate - 1)
+    with pytest.raises(ResourceLimitError, match=f"{windows} window values .* {estimate} bytes"):
+        count_sums(10**6, table_small)
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +369,7 @@ def oracle_to_1e9():
     return values, np.unique(values)
 
 
-def assert_dedup_matches_oracle(x, table, oracle, workers):
+def assert_dedup_matches_oracle(x, table, oracle):
     values, distinct = oracle
     k = int(np.searchsorted(distinct, x, side="right"))
     windows = int(np.searchsorted(values, x, side="right"))
@@ -579,7 +379,6 @@ def assert_dedup_matches_oracle(x, table, oracle, workers):
     assert np.array_equal(values_up_to(x, table), distinct[:k])
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cpsq.windows, "SPLIT_WINDOWS", 1)
-        mp.setattr(cpsq.windows, "_workers", lambda: workers)
         report = count_sums(x, table)
     assert (report.distinct_count, report.multiplicity_count) == (k, windows)
     return windows - k
@@ -590,15 +389,14 @@ def test_dedup_at_every_repeated_value(table_big, oracle_to_1e9):
     repeated = values[1:][values[1:] == values[:-1]].tolist()
     assert repeated[0] == 14_720_439 and len(repeated) == 6
     for seen, v in enumerate(repeated):
-        for workers in (1, 2, 3):
-            assert assert_dedup_matches_oracle(v - 1, table_big, oracle_to_1e9, workers) == seen
-            assert assert_dedup_matches_oracle(v, table_big, oracle_to_1e9, workers) == seen + 1
+        assert assert_dedup_matches_oracle(v - 1, table_big, oracle_to_1e9) == seen
+        assert assert_dedup_matches_oracle(v, table_big, oracle_to_1e9) == seen + 1
 
 
-@given(st.integers(min_value=15 * 10**6, max_value=10**9), st.sampled_from([1, 2, 3]))
+@given(st.integers(min_value=15 * 10**6, max_value=10**9))
 @settings(max_examples=40)
-def test_dedup_past_the_first_repeat_matches_oracle(table_big, oracle_to_1e9, x, workers):
-    assert assert_dedup_matches_oracle(x, table_big, oracle_to_1e9, workers) >= 1
+def test_dedup_past_the_first_repeat_matches_oracle(table_big, oracle_to_1e9, x):
+    assert assert_dedup_matches_oracle(x, table_big, oracle_to_1e9) >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -606,22 +404,20 @@ def test_dedup_past_the_first_repeat_matches_oracle(table_big, oracle_to_1e9, x,
 # up in place
 # ---------------------------------------------------------------------------
 
-def values_with_split_knobs(x, table, workers):
-    """values_up_to with SPLIT_WINDOWS and _workers patched as count_sums'
-    split reads them: values_up_to sorts in one piece whatever they say."""
+def values_with_split_knob(x, table):
+    """values_up_to with SPLIT_WINDOWS patched as count_sums' split reads it:
+    values_up_to sorts in one piece whatever it says."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cpsq.windows, "SPLIT_WINDOWS", 1)
-        mp.setattr(cpsq.windows, "_workers", lambda: workers)
         return values_up_to(x, table)
 
 
-@pytest.mark.parametrize("workers", [1, 2, 3, 4])
-def test_banded_values_at_every_repeated_value(table_big, oracle_to_1e9, workers):
+def test_banded_values_at_every_repeated_value(table_big, oracle_to_1e9):
     values, distinct = oracle_to_1e9
     repeated = values[1:][values[1:] == values[:-1]].tolist()
     for v in repeated:
         for x in (v - 1, v):
-            got = values_with_split_knobs(x, table_big, workers)
+            got = values_with_split_knob(x, table_big)
             assert np.array_equal(got, distinct[: np.searchsorted(distinct, x, side="right")])
             assert not got.flags.writeable
 
@@ -647,19 +443,33 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
-def test_values_up_to_keeps_to_9_bytes_a_window_on_one_thread(
-    table_big, monkeypatch, thread_census
-):
+def test_values_up_to_keeps_to_9_bytes_a_window_on_one_thread(table_big):
     report = count_sums(5 * 10**10, table_big)
     windows = report.multiplicity_count
     assert windows == 1_391_139 > cpsq.windows.SPLIT_WINDOWS
-    monkeypatch.setattr(cpsq.windows, "_workers", lambda: 4)
-    thread_census.started = 0
     peak, values = traced_peak(lambda: values_up_to(5 * 10**10, table_big))
     # plus the walk's small arrays
     assert peak <= 9 * windows + (1 << 20), peak
     assert values.size == report.distinct_count
-    assert thread_census.started == 0
+
+
+def test_count_sums_holds_one_class_at_a_time(table_big):
+    x = 10**12
+    counts = count_windows(x, table_big)
+    sp = table_big.square_prefix.tolist()  # every value here is below 2^64
+    # the windows from p_1 = 2 and p_2 = 3 go to the class of their value,
+    # the rest of length m to class m mod 24
+    heads = [sp[m] for m in range(1, len(counts) + 1)]
+    heads += [sp[m + 1] - sp[1] for m, c in enumerate(counts, 1) if c >= 2]
+    sizes = Counter(v % 24 for v in heads)
+    for m, c in enumerate(counts, 1):
+        sizes[m % 24] += max(c - 2, 0)
+    assert sum(sizes.values()) == sum(counts) > cpsq.windows.SPLIT_WINDOWS
+    estimate = 9 * max(sizes.values()) + 32 * len(heads)
+    peak, report = traced_peak(lambda: count_sums(x, table_big))
+    assert report.distinct_count == 8_867_054
+    # plus the walk's small arrays, as for values_up_to
+    assert peak <= estimate + (1 << 20), (peak, estimate)
 
 
 # ---------------------------------------------------------------------------
@@ -730,8 +540,7 @@ def test_dedup_sort_skips_doubles_where_denormals_compare_as_zero(monkeypatch):
     assert values.tolist() == [1, 1, 2, 3]
 
 
-@pytest.mark.parametrize("workers", [2, 3, 4])
-def test_banded_values_with_equal_values_across_a_band_edge(table_small, monkeypatch, workers):
+def test_banded_values_with_equal_values_across_a_band_edge(table_small, monkeypatch):
     # each three window values made equal to the first of them, so that the
     # compaction closes up runs of more than two equal values
     real = cpsq.windows._window_values
@@ -745,5 +554,5 @@ def test_banded_values_with_equal_values_across_a_band_edge(table_small, monkeyp
     windows = [value for _, _, value in oracle_windows(x)]  # by (length, start), as filled
     crafted = np.array(windows, dtype=np.uint64)[np.arange(len(windows)) // 3 * 3]
     assert max(Counter(crafted.tolist()).values()) > 2
-    got = values_with_split_knobs(x, table_small, workers)
+    got = values_with_split_knob(x, table_small)
     assert got.tolist() == sorted(set(crafted.tolist()))
