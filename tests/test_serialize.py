@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cpsq.serialize
 from cpsq import (
     BoundReport,
     CountReport,
@@ -266,6 +267,24 @@ def many_chunks(n_chunks, seed=11):
     values = np.random.default_rng(seed).integers(1, 10**15, n_chunks * VALUE_CHUNK, dtype=np.uint64)
     values.sort()
     return values
+
+
+def test_an_error_in_one_render_reaches_the_caller(monkeypatch):
+    real = cpsq.serialize._render_values
+
+    def failing(chunk, sep, *buffers):
+        if chunk[0] == 3 * VALUE_CHUNK + 1:
+            raise MemoryError("chunk 3")
+        return real(chunk, sep, *buffers)
+
+    monkeypatch.setattr(cpsq.serialize, "_render_values", failing)
+    values = np.arange(1, 8 * VALUE_CHUNK + 1, dtype=np.uint64)
+    out = io.BytesIO()
+    with pytest.raises(MemoryError, match="chunk 3"):
+        write_values(values, "text", out)
+    # the chunks before it are written, and none after
+    written = out.getvalue().decode("ascii")
+    assert written == printed_values(list(range(1, 3 * VALUE_CHUNK + 1)), "text")
 
 
 def test_a_closed_stream_stops_the_writing():

@@ -252,9 +252,12 @@ def test_windows_past_the_second_prime_have_value_equal_to_length_mod_24(table_b
     assert checked > 10**5
 
 
-def test_split_counts_match_oracle(table_small, monkeypatch):
-    # at 4, 13 and 100 the windows from 2 and 3 are alone in their classes
-    monkeypatch.setattr(cpsq.windows, "SPLIT_WINDOWS", 1)
+@pytest.mark.parametrize("split", [1, 2, 3])
+def test_split_counts_match_oracle(table_small, split, monkeypatch):
+    # at 4, 13 and 100 the windows from 2 and 3 are alone in their classes;
+    # x = 4 has one window and x = 13 three, so from split 2 on the one at 4
+    # is deduped in one piece and those at 13 by class
+    monkeypatch.setattr(cpsq.windows, "SPLIT_WINDOWS", split)
     for x in (1, 3, 4, 13, 100, 5000):
         report = count_sums(x, table_small)
         assert report.distinct_count == len(oracle_distinct_values(x))
@@ -288,6 +291,23 @@ def test_each_class_holds_the_windows_of_its_residue(table_small, monkeypatch):
         assert all(v % 24 == r for v in values)
     windows = sorted(rep.value for rep in enumerate_representations(10**6, table_small))
     assert sorted(v for values in classes.values() for v in values) == windows
+
+
+def test_an_error_in_one_class_reaches_the_caller(table_small, monkeypatch):
+    real = cpsq.windows._window_values
+    made = []
+
+    def failing(counts, table, residue=None, heads=None):
+        made.append(residue)
+        if residue == 5:
+            raise MemoryError("class 5")
+        return real(counts, table, residue, heads)
+
+    monkeypatch.setattr(cpsq.windows, "SPLIT_WINDOWS", 1)
+    monkeypatch.setattr(cpsq.windows, "_window_values", failing)
+    with pytest.raises(MemoryError, match="class 5"):
+        count_sums(10**6, table_small)
+    assert made == list(range(6))  # no class is made after the one that failed
 
 
 def test_split_counts_at_1e12_and_1e13(table_big):
@@ -404,22 +424,21 @@ def test_dedup_past_the_first_repeat_matches_oracle(table_big, oracle_to_1e9, x)
 # up in place
 # ---------------------------------------------------------------------------
 
-def values_with_split_knob(x, table):
-    """values_up_to with SPLIT_WINDOWS patched as count_sums' split reads it:
-    values_up_to sorts in one piece whatever it says."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cpsq.windows, "SPLIT_WINDOWS", 1)
-        return values_up_to(x, table)
-
-
-def test_banded_values_at_every_repeated_value(table_big, oracle_to_1e9):
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_banded_values_at_every_repeated_value(table_big, oracle_to_1e9, k, monkeypatch):
+    # SPLIT_WINDOWS at the windows up to the k-th repeated value: count_sums
+    # dedups in one piece just below it and by class at it, and values_up_to
+    # sorts in one piece whatever it says
     values, distinct = oracle_to_1e9
     repeated = values[1:][values[1:] == values[:-1]].tolist()
+    split = int(np.searchsorted(values, repeated[k - 1], side="right"))
+    monkeypatch.setattr(cpsq.windows, "SPLIT_WINDOWS", split)
     for v in repeated:
         for x in (v - 1, v):
-            got = values_with_split_knob(x, table_big)
+            got = values_up_to(x, table_big)
             assert np.array_equal(got, distinct[: np.searchsorted(distinct, x, side="right")])
             assert not got.flags.writeable
+            assert count_sums(x, table_big).distinct_count == got.size
 
 
 @given(st.integers(min_value=15 * 10**6, max_value=10**9))
@@ -540,19 +559,20 @@ def test_dedup_sort_skips_doubles_where_denormals_compare_as_zero(monkeypatch):
     assert values.tolist() == [1, 1, 2, 3]
 
 
-def test_banded_values_with_equal_values_across_a_band_edge(table_small, monkeypatch):
-    # each three window values made equal to the first of them, so that the
-    # compaction closes up runs of more than two equal values
+@pytest.mark.parametrize("run", [2, 3, 4])
+def test_banded_values_with_equal_values_across_a_band_edge(table_small, monkeypatch, run):
+    # each ``run`` window values made equal to the first of them, so that the
+    # compaction closes up runs of two and more equal values
     real = cpsq.windows._window_values
 
-    def in_threes(*args):
+    def in_runs(*args):
         values = real(*args)
-        return values[np.arange(values.size) // 3 * 3]
+        return values[np.arange(values.size) // run * run]
 
-    monkeypatch.setattr(cpsq.windows, "_window_values", in_threes)
+    monkeypatch.setattr(cpsq.windows, "_window_values", in_runs)
     x = 10**5
     windows = [value for _, _, value in oracle_windows(x)]  # by (length, start), as filled
-    crafted = np.array(windows, dtype=np.uint64)[np.arange(len(windows)) // 3 * 3]
-    assert max(Counter(crafted.tolist()).values()) > 2
-    got = values_with_split_knob(x, table_small)
+    crafted = np.array(windows, dtype=np.uint64)[np.arange(len(windows)) // run * run]
+    assert max(Counter(crafted.tolist()).values()) == run
+    got = values_up_to(x, table_small)
     assert got.tolist() == sorted(set(crafted.tolist()))
