@@ -32,6 +32,7 @@ _MODULE_OF = {
             "check_length_count_bound",
             "check_partial_sum",
             "check_pyramid",
+            "check_reference_values",
             "check_weighted_square",
             "check_window_cap_substitution",
             "dusart_reports",

@@ -32,6 +32,8 @@ Supporting checks, each exposed as an operation returning a BoundReport:
   for 0 < alpha < 1 and M >= 2 (equality at M = 1).
 * weighted squares: sum_{2<=n<=M} (n ln n)^2 >= M^3 (ln M)^2 / 12 for
   M >= 4, via the sqrt(M) tail cutoff and the square-pyramid identity.
+* reference values: the enumeration below 5000 equals the frozen list of
+  91 values in ``reference``, exactly.
 """
 
 from __future__ import annotations
@@ -53,8 +55,9 @@ from .primes import (
     prime_count,
     sieve_primes,
 )
+from .reference import REFERENCE_LIMIT, REFERENCE_VALUES
 from .reports import FAIL, INCONCLUSIVE, PASS, BoundReport, compare_strict
-from .windows import count_sums, count_windows, max_window_length
+from .windows import count_sums, count_windows, max_window_length, values_up_to
 
 #: the headline lower bound is 2 sqrt(x) / ln x, valid from here on
 LOWER_MIN_X = 289
@@ -283,7 +286,8 @@ def square_pyramid(m_cap: int) -> int:
 def check_pyramid(m_cap: int) -> BoundReport:
     """Exact-equality report: closed form against direct summation.
 
-    The one label whose verdict asserts lhs == rhs instead of lhs < rhs.
+    One of the two labels, with "reference-values", whose verdict asserts
+    lhs == rhs instead of lhs < rhs.
     """
     m_cap = int(m_cap)
     if m_cap < 1:
@@ -298,6 +302,31 @@ def check_pyramid(m_cap: int) -> BoundReport:
         observed=closed,
         applicable=True,
         verdict=PASS if direct == closed else FAIL,
+    )
+
+
+def check_reference_values(table: PrimeTable) -> BoundReport:
+    """Exact-equality report: the enumeration below REFERENCE_LIMIT against
+    the frozen REFERENCE_VALUES.
+
+    lhs is the expected count of values and rhs the computed one;
+    ``observed`` is the number of leading values that agree, 91 when all
+    do. The verdict passes only when the two lists are equal.
+    """
+    expected = REFERENCE_VALUES
+    computed = tuple(values_up_to(REFERENCE_LIMIT, table).tolist())
+    agree = next(
+        (i for i, (e, c) in enumerate(zip(expected, computed)) if e != c),
+        min(len(expected), len(computed)),
+    )
+    return BoundReport(
+        label="reference-values",
+        x_or_m=REFERENCE_LIMIT,
+        lhs=float(len(expected)),
+        rhs=float(len(computed)),
+        observed=agree,
+        applicable=True,
+        verdict=PASS if computed == expected else FAIL,
     )
 
 
@@ -396,9 +425,10 @@ def full_verification(grid: list[int] | None = None) -> list[BoundReport]:
 
     Used by the CLI ``verify`` command. The grid defaults to 289 and the
     powers of ten from 1e3 to 1e9; per-length caps are checked for every
-    length the walk finds at each grid point, up to the exact cap, and the
+    length the walk finds at each grid point, up to the exact cap, the
     named lemmas run at representative evaluation points (their exhaustive
-    sweeps live in the test suite, where the runtime budget is bigger).
+    sweeps live in the test suite, where the runtime budget is bigger), and
+    the enumeration below 5000 is checked against its frozen list once.
     """
     xs = sorted(int(x) for x in (grid if grid else DEFAULT_VERIFY_GRID))
     # one table for the grid and the lemma points: 1.3e6 covers pi to 1e6
@@ -419,4 +449,5 @@ def full_verification(grid: list[int] | None = None) -> list[BoundReport]:
         reports.append(check_weighted_square(m_cap))
     for m_cap in _PYRAMID_POINTS:
         reports.append(check_pyramid(m_cap))
+    reports.append(check_reference_values(table))
     return reports

@@ -1,14 +1,14 @@
 """Command line front end.
 
-Subcommands: count, list, find, maxlen, verify, table-check. Results go to
-stdout in text (default), JSON, or CSV; diagnostics go to stderr. Every
-command writes ASCII bytes with "\n" line ends to stdout's binary layer,
-whatever stdout's encoding, or the same text to a stdout that has no binary
-layer (an ``io.StringIO``), and ends its output with one newline. Exit
-codes: 0 success / all checks pass, 1 a bound check failed, 2 bad usage or
-argument values, 3 a resource refusal (a sieve limit or a dedup too large)
-or an output that cannot be written (a full disk, a stdout not open for
-writing).
+Subcommands: count, list, find, maxlen, verify. Results go to stdout in
+text (default), JSON, or CSV; diagnostics go to stderr. Every command
+writes ASCII bytes with "\n" line ends to stdout's binary layer, whatever
+stdout's encoding, or the same text to a stdout that has no binary layer
+(an ``io.StringIO``), and ends its output with one newline, except a text
+``list`` with no value, which writes nothing. Exit codes: 0 success / all
+checks pass, 1 a ``verify`` check failed, 2 bad usage or argument values,
+3 a resource refusal (a sieve limit or a dedup too large) or an output
+that cannot be written (a full disk, a stdout not open for writing).
 
 A reader that closes stdout early (``cpsq list 1e10 | head``) ends the
 output quietly: the command keeps the exit code it had already decided.
@@ -50,7 +50,6 @@ from .errors import ResourceLimitError, brief
 from .primes import PrimeTable, sieve_primes
 # no command reads or writes a table file; perfbench/spans.py wraps these two names
 from .primes import load_table, save_table  # noqa: F401
-from .reference import REFERENCE_LIMIT, REFERENCE_VALUES
 from .reports import FAIL
 from .serialize import FORMATS, serialize_report, write_values
 from .windows import (
@@ -170,13 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="comma-separated x values (default: 289 and 1e3..1e9)",
     )
-
-    sub.add_parser(
-        "table-check",
-        parents=[common],
-        help=f"compare the enumeration below {REFERENCE_LIMIT} "
-        "against the embedded reference list",
-    )
     return parser
 
 
@@ -266,46 +258,12 @@ def _cmd_verify(config: CliConfig) -> _Outcome:
     return (1 if failed else 0), text
 
 
-def _cmd_table_check(config: CliConfig) -> _Outcome:
-    table = provision_table(isqrt(REFERENCE_LIMIT), config)
-    computed = values_up_to(REFERENCE_LIMIT, table)
-    expected = REFERENCE_VALUES
-    passed = bool(np.array_equal(computed, expected))
-    if config.format == "json":
-        import json  # here, so that the other commands never load it
-
-        text = json.dumps(
-            {
-                "passed": passed,
-                "expected_count": len(expected),
-                "computed_count": len(computed),
-            }
-        )
-    elif config.format == "csv":
-        text = "passed,expected_count,computed_count\n"
-        text += f"{str(passed).lower()},{len(expected)},{len(computed)}"
-    elif passed:
-        text = f"table-check: PASS ({len(expected)} values match)"
-    else:
-        diffs = [
-            (i, e, c)
-            for i, (e, c) in enumerate(zip(expected, computed.tolist()))
-            if e != c
-        ]
-        text = (
-            f"table-check: FAIL (expected {len(expected)} values, "
-            f"computed {len(computed)}; first differences: {diffs[:5]})"
-        )
-    return (0 if passed else 1), text
-
-
 _HANDLERS = {
     "count": _cmd_count,
     "list": _cmd_list,
     "find": _cmd_find,
     "maxlen": _cmd_maxlen,
     "verify": _cmd_verify,
-    "table-check": _cmd_table_check,
 }
 
 

@@ -13,7 +13,7 @@ import math
 class ResourceLimitError(RuntimeError):
     """A request was refused before it could exhaust memory: a sieve limit
     past primes.MAX_LIMIT, or a dedup whose estimated value arrays pass
-    primes.MAX_SIEVE_BYTES. The message names the limit or the estimate.
+    windows.MAX_DEDUP_BYTES. The message names the limit or the estimate.
     """
 
 

@@ -51,9 +51,6 @@ DUSART_LOWER_MIN_N = 17
 #: largest table limit: every p <= MAX_LIMIT has p^2 < 2^63
 MAX_LIMIT = isqrt(2**63 - 1)
 
-#: refuse a dedup whose estimated value arrays would pass this many bytes
-MAX_SIEVE_BYTES = 4 << 30
-
 CACHE_MAGIC = b"CPSQ2"
 
 

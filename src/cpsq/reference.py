@@ -2,9 +2,9 @@
 
 There are exactly 91 representable values below that threshold, starting
 4 = 2^2, 9 = 3^2, 13 = 2^2 + 3^2 and ending 4899 = 29^2 + 31^2 + 37^2 +
-41^2. The list is frozen here so that both the test suite and the CLI's
-``table-check`` command can compare a live enumeration against it
-byte for byte.
+41^2. The list is frozen here so that both the test suite and the
+``reference-values`` check of ``cpsq verify`` can compare a live
+enumeration against it exactly.
 """
 
 from __future__ import annotations

@@ -63,8 +63,9 @@ class BoundReport(NamedTuple):
     """Outcome of one inequality check.
 
     The convention is that the verdict asserts ``lhs < rhs`` strictly (the
-    one exception is the label "pyramid", which asserts exact equality of an
-    integer identity). ``observed`` carries the exact integer side when the
+    two exceptions assert exact equality: "pyramid", of an integer identity,
+    and "reference-values", of the enumeration below 5000 and its frozen
+    list). ``observed`` carries the exact integer side when the
     check compares enumerated data against a real-valued bound, and
     ``applicable`` is False when the evaluation point is outside the stated
     range of the inequality, in which case the verdict draws no conclusion.

@@ -42,7 +42,6 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from . import primes
 from .errors import ResourceLimitError, brief
 from .primes import PrimeTable
 
@@ -176,14 +175,17 @@ residue class at a time."""
 
 _CLASSES = 24
 
+#: refuse a dedup whose estimated value arrays would pass this many bytes
+MAX_DEDUP_BYTES = 4 << 30
+
 
 def _refuse_past_ceiling(windows: int, need: int) -> None:
     """ResourceLimitError, before anything is allocated, when a dedup of
-    ``windows`` window values needs more than primes.MAX_SIEVE_BYTES."""
-    if need > primes.MAX_SIEVE_BYTES:
+    ``windows`` window values needs more than MAX_DEDUP_BYTES."""
+    if need > MAX_DEDUP_BYTES:
         raise ResourceLimitError(
             f"deduplicating {windows} window values needs an estimated "
-            f"{need} bytes, above the {primes.MAX_SIEVE_BYTES} byte ceiling"
+            f"{need} bytes, above the {MAX_DEDUP_BYTES} byte ceiling"
         )
 
 
@@ -261,7 +263,7 @@ def _distinct_by_class(counts: list[int], table: PrimeTable) -> int:
 
     The classes are sorted one after another, so at most 9 bytes a window
     of the largest class are held at once, plus 32 bytes a head value while
-    the heads are split; past primes.MAX_SIEVE_BYTES this refuses before
+    the heads are split; past MAX_DEDUP_BYTES this refuses before
     anything is allocated.
     """
     sp = table.square_prefix
@@ -297,7 +299,7 @@ def count_sums(x: int, table: PrimeTable) -> CountReport:
     per-object survives the pass. Past SPLIT_WINDOWS windows the sort runs
     per residue class mod 24, one class at a time. Raises
     ResourceLimitError when the values and repeat marks held at once would
-    pass primes.MAX_SIEVE_BYTES.
+    pass MAX_DEDUP_BYTES.
     """
     x = _covered(x, table)
     counts = _walk(x, table)
@@ -337,7 +339,7 @@ def values_up_to(x: int, table: PrimeTable) -> np.ndarray:
     """The distinct representable values <= x, ascending, as a read-only
     uint64 array: a prefix of the one value buffer, sorted in place by _sort
     on the calling thread, 9 bytes a window in all, refused past
-    primes.MAX_SIEVE_BYTES.
+    MAX_DEDUP_BYTES.
     """
     counts = _walk(_covered(x, table), table)
     total = sum(counts)

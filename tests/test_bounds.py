@@ -18,6 +18,7 @@ from cpsq import (
     check_length_count_bound,
     check_partial_sum,
     check_pyramid,
+    check_reference_values,
     check_weighted_square,
     check_window_cap_substitution,
     count_sums,
@@ -25,6 +26,7 @@ from cpsq import (
     full_verification,
     lower_bound,
     prime_count,
+    sieve_primes,
     square_pyramid,
     upper_bound,
     verify_count_bounds,
@@ -183,7 +185,9 @@ def test_length_count_bound_whole_grid(table_big):
 
 def test_length_count_bound_fails_a_count_past_its_pi_cap(monkeypatch, capsys, table_small):
     # the walk is the one source of c_m: one length-3 window more than
-    # pi(sqrt(x / 3)) must fail that length's chain and the verify command
+    # pi(sqrt(x / 3)) must fail that length's chain and the verify command;
+    # the enumeration below 5000 comes from the same walk, so the
+    # reference-values row fails with it, one value too many
     walk = cpsq.windows._walk
 
     def overcounting_walk(x, table):
@@ -197,7 +201,8 @@ def test_length_count_bound_fails_a_count_past_its_pi_cap(monkeypatch, capsys, t
     assert reports[2].observed == reports[2].lhs + 1
     assert main(["verify", "--grid", "100000"]) == 1
     failed = [line for line in capsys.readouterr().out.splitlines() if line.endswith("fail")]
-    assert len(failed) == 1 and failed[0].startswith("length-count-bound[m=3]")
+    assert len(failed) == 2 and failed[0].startswith("length-count-bound[m=3]")
+    assert failed[1].startswith("reference-values ") and " 91 vs 92 " in failed[1]
 
 
 def test_length_count_bound_majorant_is_the_local_log_form(table_small):
@@ -338,6 +343,12 @@ def test_check_pyramid_is_an_equality_report():
     assert r.verdict == PASS
     with pytest.raises(ValueError):
         check_pyramid(0)
+
+
+def test_check_reference_values_is_an_equality_report():
+    # any table covering sqrt(5000) = 70.7 serves
+    r = check_reference_values(sieve_primes(71))
+    assert r == ("reference-values", 5000, 91.0, 91.0, 91, True, PASS)
 
 
 # ---------------------------------------------------------------------------

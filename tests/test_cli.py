@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 import cpsq.bounds
 import cpsq.cli
-import cpsq.primes
 import cpsq.windows
 from cpsq import (
     REFERENCE_VALUES,
@@ -120,9 +119,14 @@ def cli_bytes(argv):
     return out.buffer.getvalue()
 
 
+# the check against the reference table is verify's reference-values row
+# at 5000; "table-check" names that case
+_TABLE_CHECK = pytest.param("verify --grid 5000", id="table-check")
+
+
 @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
 @pytest.mark.parametrize(
-    "command", ["count 100", "find 2020", "maxlen 5000", "verify --grid 289", "table-check"]
+    "command", ["count 100", "find 2020", "maxlen 5000", "verify --grid 289", _TABLE_CHECK]
 )
 def test_every_command_writes_ascii_whatever_the_stdout_encoding(command, fmt):
     argv = [*command.split(), "--format", fmt]
@@ -139,7 +143,7 @@ def test_every_command_writes_ascii_whatever_the_stdout_encoding(command, fmt):
 @pytest.mark.parametrize(
     "command",
     ["count 100", "list 1000", "find 2020", "find 3", "maxlen 5000", "verify --grid 289",
-     "table-check"],
+     _TABLE_CHECK],
 )
 def test_every_output_is_ascii_and_ends_with_one_newline(command, fmt):
     out = cli_bytes([*command.split(), "--format", fmt])
@@ -244,32 +248,77 @@ def test_verify_exit_1_when_a_bound_fails(capsys, monkeypatch):
     assert "failures" in out and "all pass" not in out
 
 
+def reference_rows(out, fmt):
+    """The reference-values records of one verify output, as dicts."""
+    if fmt == "json":
+        records = json.loads(out)
+    elif fmt == "csv":
+        records = list(csv.DictReader(io.StringIO(out)))
+    else:
+        records = [{"line": line} for line in out.splitlines()]
+    return [r for r in records if "reference-values" in str(r.get("label", r.get("line")))]
+
+
 def test_table_check_pass(capsys):
-    code, out, _ = run_cli(capsys, "table-check")
-    assert code == 0
-    assert out == "table-check: PASS (91 values match)\n"
+    for grid in ([], ["--grid", "289"], ["--grid", "10^9,2,2"]):
+        code, out, _ = run_cli(capsys, "verify", *grid)
+        assert code == 0
+        assert reference_rows(out, "text") == [
+            {"line": "reference-values             at 5000: 91 vs 91 observed=91 -> pass"}
+        ]
 
 
 def test_table_check_json(capsys):
-    code, out, _ = run_cli(capsys, "table-check", "--format", "json")
+    code, out, _ = run_cli(capsys, "verify", "--grid", "289", "--format", "json")
     assert code == 0
-    assert json.loads(out) == {
-        "passed": True,
-        "expected_count": 91,
-        "computed_count": 91,
-    }
+    assert reference_rows(out, "json") == [
+        {"label": "reference-values", "x_or_m": 5000, "lhs": 91.0, "rhs": 91.0,
+         "observed": 91, "applicable": True, "verdict": "pass"}
+    ]
+
+
+def test_table_check_csv(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--grid", "289", "--format", "csv")
+    assert code == 0
+    assert reference_rows(out, "csv") == [
+        {"label": "reference-values", "x_or_m": "5000", "lhs": "91", "rhs": "91",
+         "observed": "91", "applicable": "true", "verdict": "pass"}
+    ]
+
+
+def verify_against(capsys, monkeypatch, wrong, observed):
+    """verify with ``wrong`` for the enumeration below 5000: exit 1, one
+    failure, and the reference-values row failing with ``observed``."""
+    wrong = np.array(wrong, dtype=np.uint64)
+    monkeypatch.setattr(cpsq.bounds, "values_up_to", lambda x, table: wrong)
+    code, out, _ = run_cli(capsys, "verify", "--grid", "289")
+    assert code == 1
+    assert reference_rows(out, "text") == [
+        {"line": f"reference-values             at 5000: 91 vs {wrong.size} "
+                 f"observed={observed} -> fail"}
+    ]
+    assert out.endswith(" checks, 1 failures\n")
+    code, out, _ = run_cli(capsys, "verify", "--grid", "289", "--format", "json")
+    assert code == 1
+    (row,) = reference_rows(out, "json")
+    assert (row["observed"], row["rhs"], row["verdict"]) == (observed, wrong.size, "fail")
 
 
 def test_table_check_fail_names_first_differences(capsys, monkeypatch):
-    wrong = np.array(REFERENCE_VALUES, dtype=np.uint64)
-    wrong[2] += 1
-    monkeypatch.setattr(cpsq.cli, "values_up_to", lambda x, table: wrong)
-    code, out, _ = run_cli(capsys, "table-check")
-    assert code == 1
-    assert out == (
-        "table-check: FAIL (expected 91 values, computed 91; "
-        "first differences: [(2, 13, 14)])\n"
-    )
+    # observed counts the leading values that agree: index 2 differs
+    wrong = (*REFERENCE_VALUES[:2], 14, *REFERENCE_VALUES[3:])
+    verify_against(capsys, monkeypatch, wrong, observed=2)
+
+
+def test_table_check_fail_when_a_value_is_missing(capsys, monkeypatch):
+    verify_against(capsys, monkeypatch, REFERENCE_VALUES[:-1], observed=90)
+
+
+def test_table_check_is_no_command(capsys):
+    code, out, err = run_cli(capsys, "table-check")
+    assert code == 2 and out == ""
+    assert err.startswith("usage: cpsq ") and "invalid choice: 'table-check'" in err
+    assert "Traceback" not in err
 
 
 def test_usage_errors_exit_2(capsys):
@@ -330,10 +379,11 @@ def test_maxlen_of_a_huge_x_is_refused_before_any_sieve(capsys, monkeypatch):
     assert ran == []
 
 
-# count sieves 10^6 (the size the cache once kept), the others under 100
+# count sieves 10^6 (the size the cache once kept), verify 1.3 * 10^6, the
+# others under 100
 @pytest.mark.parametrize(
     "argv",
-    [["count", "10^12"], ["list", "5000"], ["find", "2020"], ["table-check"]],
+    [["count", "10^12"], ["list", "5000"], ["find", "2020"], ["verify", "--grid", "5000"]],
     ids=["count", "list", "find", "table-check"],
 )
 def test_no_command_reads_or_writes_a_table_file(argv, capsys, tmp_path, monkeypatch):
@@ -367,7 +417,7 @@ def test_dedup_refusal_exits_3_and_multiplicity_still_answers(capsys, monkeypatc
     windows = count_sums(x, sieve_primes(isqrt(x))).multiplicity_count
     # one byte short of the 9 bytes a window of the one-piece dedup
     assert windows < cpsq.windows.SPLIT_WINDOWS
-    monkeypatch.setattr(cpsq.primes, "MAX_SIEVE_BYTES", 9 * windows - 1)
+    monkeypatch.setattr(cpsq.windows, "MAX_DEDUP_BYTES", 9 * windows - 1)
     for argv in (
         ["count", str(x)],
         ["count", str(x), "--format", "json"],
@@ -409,7 +459,7 @@ _TOKEN = st.one_of(
          "--count-mode", "distinct", "--cache-dir", "--help", "1.5", "e3", "10^"]
     ),
 )
-_COMMAND = st.sampled_from(["count", "list", "find", "maxlen", "verify", "table-check"])
+_COMMAND = st.sampled_from(["count", "list", "find", "maxlen", "verify"])
 
 
 @given(

@@ -23,7 +23,7 @@ GOLDEN = {
     "list 100000 --format csv":
         "b6de287e70769d785be9f17ad746c075804bf0a41215f1b49cdaaa20b3a161a0",
     "verify":
-        "a61efac3c8a87f34a098931a7063267953ad33c3a029bae695c43e28f20fe599",
+        "28ccd7bb5cb820639fa2617884844c48f4001db329f2adba401e3c214ef1d44e",
     "maxlen 1e19":
         "fe295bfade826ce881e01c7a7dfa9c935d8db7bc4fa981364bff8279c8ec6b61",
     "maxlen 2":
@@ -37,7 +37,7 @@ GOLDEN = {
     "maxlen 5000 --format csv":
         "071df072e785b0a062fcf969744fd4741930b70ab7faa3b38f699667523856e0",
     "verify --format csv":
-        "882d474a7e743f0eaf81361cacb1e287e30e3ee4272534b54ec8bd2d9d4da335",
+        "8f9d44e05bb60085c6a6a63cb85ba4d9c9dc21752f495d9ae5ce8e1e11d6e0e0",
 }
 
 

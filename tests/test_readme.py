@@ -1,9 +1,13 @@
 """The README's library quick start runs, and every result it shows is what
-the expression it is shown for gives."""
+the expression it is shown for gives; the README and the CLI's docstring
+name the subcommands the parser defines."""
 
+import argparse
 import ast
 import re
 from pathlib import Path
+
+import cpsq.cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -45,3 +49,15 @@ def test_the_quick_start_shows_what_it_computes():
         checked.append(shown)
     # the counts at 10^12, pi(10^6), one lookup and one listing at least
     assert len(checked) >= 5, checked
+
+
+def test_the_readme_and_the_cli_docstring_name_every_subcommand():
+    (sub,) = [
+        a for a in cpsq.cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    commands = list(sub.choices)
+    section = README.read_text().split("\n## CLI\n", 1)[1]
+    block = re.search(r"```\n(.*?)```", section, re.S)[1]
+    assert [line.split()[1] for line in block.splitlines()] == commands
+    line = re.search(r"^Subcommands: (.*?)\.", cpsq.cli.__doc__, re.M | re.S)[1]
+    assert line.replace("\n", " ").split(", ") == commands

@@ -269,6 +269,31 @@ def many_chunks(n_chunks, seed=11):
     return values
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_each_chunk_renders_into_the_buffer_the_chunk_before_was_written_from(
+    monkeypatch, fmt
+):
+    # a chunk no wider than the one before fits that chunk's buffer and
+    # reuses it; the spy keeps every rendered array alive, so a fresh
+    # buffer could not share memory with an earlier one
+    real = cpsq.serialize._render_values
+    rendered = []
+
+    def spy(chunk, sep, out, scratch):
+        rendered.append(real(chunk, sep, out, scratch))
+        return rendered[-1]
+
+    monkeypatch.setattr(cpsq.serialize, "_render_values", spy)
+    write_values(many_chunks(6), fmt, io.BytesIO())
+    reused = [
+        np.shares_memory(text, before)
+        for before, text in zip(rendered, rendered[1:])
+        if text.size <= before.size
+    ]
+    assert len(rendered) == 6 and len(reused) >= 3
+    assert all(reused)
+
+
 def test_an_error_in_one_render_reaches_the_caller(monkeypatch):
     real = cpsq.serialize._render_values
 

@@ -13,7 +13,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cpsq.cli
-import cpsq.primes
 import cpsq.windows
 from cpsq import (
     REFERENCE_VALUES,
@@ -101,13 +100,13 @@ def test_multiplicity_count_matches_count_sums(x, table_small):
 def test_dedup_refuses_past_the_byte_ceiling(table_small, monkeypatch):
     windows = count_sums(10**6, table_small).multiplicity_count
     # 9 bytes a window to count and to list; both refused before allocating
-    monkeypatch.setattr(cpsq.primes, "MAX_SIEVE_BYTES", 9 * windows - 1)
+    monkeypatch.setattr(cpsq.windows, "MAX_DEDUP_BYTES", 9 * windows - 1)
     with pytest.raises(ResourceLimitError, match=f"{windows} window values"):
         count_sums(10**6, table_small)
     with pytest.raises(ResourceLimitError, match=f"{9 * windows} bytes"):
         values_up_to(10**6, table_small)
     assert sum(count_windows(10**6, table_small)) == windows
-    monkeypatch.setattr(cpsq.primes, "MAX_SIEVE_BYTES", 9 * windows)
+    monkeypatch.setattr(cpsq.windows, "MAX_DEDUP_BYTES", 9 * windows)
     report = count_sums(10**6, table_small)
     assert report.multiplicity_count == windows
     assert values_up_to(10**6, table_small).size == report.distinct_count
@@ -367,10 +366,10 @@ def test_split_refuses_on_the_classes_held_at_once(table_small, monkeypatch):
     estimate = 9 * max(sizes) + 32 * heads
     assert estimate < 9 * windows
     monkeypatch.setattr(cpsq.windows, "SPLIT_WINDOWS", 1)
-    monkeypatch.setattr(cpsq.primes, "MAX_SIEVE_BYTES", estimate)
+    monkeypatch.setattr(cpsq.windows, "MAX_DEDUP_BYTES", estimate)
     report = count_sums(10**6, table_small)
     assert (report.distinct_count, report.multiplicity_count) == (distinct, windows)
-    monkeypatch.setattr(cpsq.primes, "MAX_SIEVE_BYTES", estimate - 1)
+    monkeypatch.setattr(cpsq.windows, "MAX_DEDUP_BYTES", estimate - 1)
     with pytest.raises(ResourceLimitError, match=f"{windows} window values .* {estimate} bytes"):
         count_sums(10**6, table_small)
 
