@@ -178,13 +178,20 @@ _CLASSES = 24
 #: refuse a dedup whose estimated value arrays would pass this many bytes
 MAX_DEDUP_BYTES = 4 << 30
 
+#: bytes a length of the walk's list of c_m, alive at every dedup's peak:
+#: a 28 B int and an 8 B pointer, and the list's spare room
+_LENGTH_BYTES = 40
 
-def _refuse_past_ceiling(windows: int, need: int) -> None:
+
+def _refuse_past_ceiling(counts: list[int], held: int) -> None:
     """ResourceLimitError, before anything is allocated, when a dedup of
-    ``windows`` window values needs more than MAX_DEDUP_BYTES."""
+    the windows the walk counted in ``counts`` needs more than
+    MAX_DEDUP_BYTES: ``held`` bytes of values and marks, plus
+    _LENGTH_BYTES a length for ``counts`` itself."""
+    need = held + _LENGTH_BYTES * len(counts)
     if need > MAX_DEDUP_BYTES:
         raise ResourceLimitError(
-            f"deduplicating {windows} window values needs an estimated "
+            f"deduplicating {sum(counts)} window values needs an estimated "
             f"{need} bytes, above the {MAX_DEDUP_BYTES} byte ceiling"
         )
 
@@ -263,8 +270,8 @@ def _distinct_by_class(counts: list[int], table: PrimeTable) -> int:
 
     The classes are sorted one after another, so at most 9 bytes a window
     of the largest class are held at once, plus 32 bytes a head value while
-    the heads are split; past MAX_DEDUP_BYTES this refuses before
-    anything is allocated.
+    the heads are split and 40 a length for the walk's counts; past
+    MAX_DEDUP_BYTES this refuses before anything is allocated.
     """
     sp = table.square_prefix
     c = np.array(counts, dtype=np.int64)
@@ -280,7 +287,7 @@ def _distinct_by_class(counts: list[int], table: PrimeTable) -> int:
     sizes = np.bincount(np.arange(1, c.size + 1) % _CLASSES, tails, _CLASSES)
     sizes = sizes.astype(np.int64) + np.diff(cuts)
     long = counts[: np.count_nonzero(tails)]
-    _refuse_past_ceiling(int(c.sum()), 9 * int(sizes.max()) + 32 * heads.size)
+    _refuse_past_ceiling(counts, 9 * int(sizes.max()) + 32 * heads.size)
 
     def distinct(r: int) -> int:
         # a class's values die with this frame, before the next class is made
@@ -298,14 +305,14 @@ def count_sums(x: int, table: PrimeTable) -> CountReport:
     with the one compare that checks their sorted order, so nothing
     per-object survives the pass. Past SPLIT_WINDOWS windows the sort runs
     per residue class mod 24, one class at a time. Raises
-    ResourceLimitError when the values and repeat marks held at once would
-    pass MAX_DEDUP_BYTES.
+    ResourceLimitError when the values and repeat marks held at once, with
+    the walk's counts, would pass MAX_DEDUP_BYTES.
     """
     x = _covered(x, table)
     counts = _walk(x, table)
     total = sum(counts)
     if total < SPLIT_WINDOWS:
-        _refuse_past_ceiling(total, 9 * total)
+        _refuse_past_ceiling(counts, 9 * total)
         distinct = total - _sort(_window_values(counts, table)).size
     else:
         distinct = _distinct_by_class(counts, table)
@@ -338,12 +345,12 @@ def find_representations(target: int, table: PrimeTable) -> list[Representation]
 def values_up_to(x: int, table: PrimeTable) -> np.ndarray:
     """The distinct representable values <= x, ascending, as a read-only
     uint64 array: a prefix of the one value buffer, sorted in place by _sort
-    on the calling thread, 9 bytes a window in all, refused past
-    MAX_DEDUP_BYTES.
+    on the calling thread, 9 bytes a window and 40 a length in all, refused
+    past MAX_DEDUP_BYTES.
     """
     counts = _walk(_covered(x, table), table)
     total = sum(counts)
-    _refuse_past_ceiling(total, 9 * total)
+    _refuse_past_ceiling(counts, 9 * total)
     values = _window_values(counts, table)
     # each run between repeats moves left past the repeats before it (numpy
     # copies an overlapping 1-D slice in order, without a temporary)

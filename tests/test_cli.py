@@ -414,10 +414,12 @@ def test_no_command_reads_or_writes_a_table_file(argv, capsys, tmp_path, monkeyp
 
 def test_dedup_refusal_exits_3_and_multiplicity_still_answers(capsys, monkeypatch):
     x = 3 * 10**9
-    windows = count_sums(x, sieve_primes(isqrt(x))).multiplicity_count
-    # one byte short of the 9 bytes a window of the one-piece dedup
+    report = count_sums(x, sieve_primes(isqrt(x)))
+    windows = report.multiplicity_count
+    # one byte short of the one-piece dedup's 9 bytes a window and 40 a length
     assert windows < cpsq.windows.SPLIT_WINDOWS
-    monkeypatch.setattr(cpsq.windows, "MAX_DEDUP_BYTES", 9 * windows - 1)
+    estimate = 9 * windows + 40 * report.max_length_seen
+    monkeypatch.setattr(cpsq.windows, "MAX_DEDUP_BYTES", estimate - 1)
     for argv in (
         ["count", str(x)],
         ["count", str(x), "--format", "json"],
@@ -427,10 +429,15 @@ def test_dedup_refusal_exits_3_and_multiplicity_still_answers(capsys, monkeypatc
         assert code == 3
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+        assert f"an estimated {estimate} bytes" in err
         assert "Traceback" not in err
     code, out, err = run_cli(capsys, "count", str(x), "--count-mode", "multiplicity")
     assert code == 0 and err == ""
     assert out == f"x={x} multiplicity={windows}\n"
+    monkeypatch.setattr(cpsq.windows, "MAX_DEDUP_BYTES", estimate)
+    code, out, err = run_cli(capsys, "count", str(x))
+    assert code == 0 and err == ""
+    assert out.startswith(f"x={x} distinct={report.distinct_count} multiplicity={windows} ")
 
 
 @pytest.mark.parametrize("x", [3, 5000, 10**8, 10**10])

@@ -1,6 +1,9 @@
 """Sieve, prefix sums, explicit prime bounds, and the on-disk cache."""
 
+import copy
+import json
 import math
+import pickle
 import struct
 import threading
 import tracemalloc
@@ -122,6 +125,52 @@ def test_nth_prime(table_small):
         nth_prime(0, table_small)
     with pytest.raises(ValueError, match="cannot produce"):
         nth_prime(len(table_small) + 1, table_small)
+
+
+@pytest.mark.parametrize(
+    "n, message",
+    [
+        (0, "prime index must be >= 1, got 0"),
+        (-1, "prime index must be >= 1, got -1"),
+        (1230, "table holds only 1229 primes (limit 10000), cannot produce p_1230"),
+    ],
+)
+def test_nth_prime_outside_the_table_names_why(table_small, n, message):
+    assert len(table_small) + 1 == 1230
+    with pytest.raises(ValueError) as raised:
+        nth_prime(n, table_small)
+    assert str(raised.value) == message
+
+
+def test_nth_prime_reads_every_prime_of_the_table(table_small):
+    got = [nth_prime(n, table_small) for n in range(1, len(table_small) + 1)]
+    assert got == [int(table_small.primes[n - 1]) for n in range(1, len(table_small) + 1)]
+
+
+@pytest.mark.parametrize("n", [7, np.int64(7), np.int32(7), True], ids=repr)
+def test_nth_prime_returns_a_python_int(table_small, n):
+    assert type(nth_prime(n, table_small)) is int
+    # so a Rosser record's observed p_n always serializes as JSON
+    report = check_rosser(n, table_small)
+    assert type(report.observed) is int
+    assert json.loads(json.dumps(report._asdict()))["observed"] == report.observed
+
+
+@pytest.mark.parametrize(
+    "duplicate",
+    [lambda t: pickle.loads(pickle.dumps(t)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+@pytest.mark.parametrize("limit", [0, 1000])
+def test_a_table_survives_pickle_and_copy(duplicate, limit):
+    table = sieve_primes(limit)
+    got = duplicate(table)
+    assert type(got) is PrimeTable and got.limit == table.limit
+    for name in ("primes", "square_prefix"):
+        old, new = getattr(table, name), getattr(got, name)
+        assert new.dtype == old.dtype and np.array_equal(new, old)
+        assert not new.flags.writeable and not old.flags.writeable
+    assert [nth_prime(n, got) for n in range(1, len(got) + 1)] == table.primes.tolist()
 
 
 @given(st.integers(min_value=0, max_value=2048))

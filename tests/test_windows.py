@@ -99,14 +99,17 @@ def test_multiplicity_count_matches_count_sums(x, table_small):
 
 def test_dedup_refuses_past_the_byte_ceiling(table_small, monkeypatch):
     windows = count_sums(10**6, table_small).multiplicity_count
-    # 9 bytes a window to count and to list; both refused before allocating
-    monkeypatch.setattr(cpsq.windows, "MAX_DEDUP_BYTES", 9 * windows - 1)
+    lengths = len(count_windows(10**6, table_small))
+    # 9 bytes a window and 40 a length to count and to list; both refused
+    # before allocating
+    estimate = 9 * windows + 40 * lengths
+    monkeypatch.setattr(cpsq.windows, "MAX_DEDUP_BYTES", estimate - 1)
     with pytest.raises(ResourceLimitError, match=f"{windows} window values"):
         count_sums(10**6, table_small)
-    with pytest.raises(ResourceLimitError, match=f"{9 * windows} bytes"):
+    with pytest.raises(ResourceLimitError, match=f"{estimate} bytes"):
         values_up_to(10**6, table_small)
     assert sum(count_windows(10**6, table_small)) == windows
-    monkeypatch.setattr(cpsq.windows, "MAX_DEDUP_BYTES", 9 * windows)
+    monkeypatch.setattr(cpsq.windows, "MAX_DEDUP_BYTES", estimate)
     report = count_sums(10**6, table_small)
     assert report.multiplicity_count == windows
     assert values_up_to(10**6, table_small).size == report.distinct_count
@@ -357,14 +360,17 @@ def test_nothing_starts_a_thread(table_big, monkeypatch, tmp_path):
 def test_split_refuses_on_the_classes_held_at_once(table_small, monkeypatch):
     sizes = [0] * 24
     heads = 0
+    lengths = 0
     for rep in enumerate_representations(10**6, table_small):
         sizes[rep.value % 24] += 1
         heads += rep.start_index <= 2
+        lengths = max(lengths, rep.length)
     windows = sum(sizes)
     distinct = len(oracle_distinct_values(10**6))
-    # 9 bytes a window of the largest class, the one held at once, and 32 a head
-    estimate = 9 * max(sizes) + 32 * heads
-    assert estimate < 9 * windows
+    # 9 bytes a window of the largest class, the one held at once, 32 a
+    # head and 40 a length
+    estimate = 9 * max(sizes) + 32 * heads + 40 * lengths
+    assert estimate < 9 * windows + 40 * lengths
     monkeypatch.setattr(cpsq.windows, "SPLIT_WINDOWS", 1)
     monkeypatch.setattr(cpsq.windows, "MAX_DEDUP_BYTES", estimate)
     report = count_sums(10**6, table_small)
@@ -462,32 +468,37 @@ def traced_peak(call):
 
 
 def test_values_up_to_keeps_to_9_bytes_a_window_on_one_thread(table_big):
-    report = count_sums(5 * 10**10, table_big)
-    windows = report.multiplicity_count
-    assert windows == 1_391_139 > cpsq.windows.SPLIT_WINDOWS
-    peak, values = traced_peak(lambda: values_up_to(5 * 10**10, table_big))
-    # plus the walk's small arrays
-    assert peak <= 9 * windows + (1 << 20), peak
-    assert values.size == report.distinct_count
+    for x in (10**10, 5 * 10**10, 10**11):
+        report = count_sums(x, table_big)
+        windows = report.multiplicity_count
+        # the guard's estimate: 9 bytes a window, 40 a length for the walk's counts
+        estimate = 9 * windows + 40 * report.max_length_seen
+        peak, values = traced_peak(lambda: values_up_to(x, table_big))
+        assert peak <= estimate <= 1.25 * peak, (x, peak, estimate)
+        assert values.size == report.distinct_count
+    # one piece even past the windows at which count_sums splits
+    assert windows > cpsq.windows.SPLIT_WINDOWS
 
 
-def test_count_sums_holds_one_class_at_a_time(table_big):
-    x = 10**12
-    counts = count_windows(x, table_big)
-    sp = table_big.square_prefix.tolist()  # every value here is below 2^64
-    # the windows from p_1 = 2 and p_2 = 3 go to the class of their value,
-    # the rest of length m to class m mod 24
-    heads = [sp[m] for m in range(1, len(counts) + 1)]
-    heads += [sp[m + 1] - sp[1] for m, c in enumerate(counts, 1) if c >= 2]
-    sizes = Counter(v % 24 for v in heads)
-    for m, c in enumerate(counts, 1):
-        sizes[m % 24] += max(c - 2, 0)
-    assert sum(sizes.values()) == sum(counts) > cpsq.windows.SPLIT_WINDOWS
-    estimate = 9 * max(sizes.values()) + 32 * len(heads)
-    peak, report = traced_peak(lambda: count_sums(x, table_big))
-    assert report.distinct_count == 8_867_054
-    # plus the walk's small arrays, as for values_up_to
-    assert peak <= estimate + (1 << 20), (peak, estimate)
+def test_count_sums_holds_one_class_at_a_time():
+    for x, distinct in ((5 * 10**10, 1_391_118), (10**12, 8_867_054), (10**13, 37_153_148)):
+        table = sieve_primes(isqrt(x))
+        counts = count_windows(x, table)
+        sp = table.square_prefix.tolist()  # every value here is below 2^64
+        # the windows from p_1 = 2 and p_2 = 3 go to the class of their
+        # value, the rest of length m to class m mod 24
+        heads = [sp[m] for m in range(1, len(counts) + 1)]
+        heads += [sp[m + 1] - sp[1] for m, c in enumerate(counts, 1) if c >= 2]
+        sizes = Counter(v % 24 for v in heads)
+        for m, c in enumerate(counts, 1):
+            sizes[m % 24] += max(c - 2, 0)
+        assert sum(sizes.values()) == sum(counts) > cpsq.windows.SPLIT_WINDOWS
+        # the guard's estimate: 9 bytes a window of the largest class, 32 a
+        # head, 40 a length for the walk's counts
+        estimate = 9 * max(sizes.values()) + 32 * len(heads) + 40 * len(counts)
+        peak, report = traced_peak(lambda: count_sums(x, table))
+        assert report.distinct_count == distinct
+        assert peak <= estimate <= 1.25 * peak, (x, peak, estimate)
 
 
 # ---------------------------------------------------------------------------
