@@ -34,6 +34,11 @@ Supporting checks, each exposed as an operation returning a BoundReport:
   M >= 4, via the sqrt(M) tail cutoff and the square-pyramid identity.
 * reference values: the enumeration below 5000 equals the frozen list of
   91 values in ``reference``, exactly.
+
+Every BoundReport here comes from ``reports.strict_report``, the one home
+of the verdict rule: a verdict passed in wins (FAIL for a broken exact
+link, or the verdict of an equality check), else a check outside its
+range is INCONCLUSIVE, else the verdict is ``compare_strict(lhs, rhs)``.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ from .primes import (
     sieve_primes,
 )
 from .reference import REFERENCE_LIMIT, REFERENCE_VALUES
-from .reports import FAIL, INCONCLUSIVE, PASS, BoundReport, compare_strict
+from .reports import FAIL, PASS, BoundReport, compare_strict, strict_report
 from .windows import count_sums, count_windows, max_window_length, values_up_to
 
 #: the headline lower bound is 2 sqrt(x) / ln x, valid from here on
@@ -163,16 +168,10 @@ def check_length_count_bound(x: int, table: PrimeTable) -> list[BoundReport]:
         pi_cap = prime_count(isqrt(x // m), table)
         ratio = x / m
         majorant = PER_LENGTH_COEFF * math.sqrt(ratio) / log(ratio)
-        verdict = FAIL if observed > pi_cap else compare_strict(pi_cap, majorant)
         reports.append(
-            BoundReport(
-                label=f"length-count-bound[m={m}]",
-                x_or_m=x,
-                lhs=float(pi_cap),
-                rhs=majorant,
-                observed=observed,
-                applicable=True,
-                verdict=verdict,
+            strict_report(
+                f"length-count-bound[m={m}]", x, pi_cap, majorant, observed,
+                verdict=FAIL if observed > pi_cap else None,
             )
         )
     return reports
@@ -199,15 +198,7 @@ def check_window_cap_substitution(
     x = int(x)
     m_cap, table = _covering_table(x, table)
     substituted = fsum(_weighted_square_terms(m_cap))
-    return BoundReport(
-        label="window-cap-substitution",
-        x_or_m=x,
-        lhs=float(x),
-        rhs=substituted,
-        observed=table.prefix_sum(m_cap),
-        applicable=True,
-        verdict=compare_strict(float(x), substituted),
-    )
+    return strict_report("window-cap-substitution", x, x, substituted, table.prefix_sum(m_cap))
 
 
 def check_partial_sum(m_cap: int, alpha: float) -> BoundReport:
@@ -224,17 +215,7 @@ def check_partial_sum(m_cap: int, alpha: float) -> BoundReport:
         raise ValueError(f"M must be >= 1, got {m_cap}")
     lhs = fsum(m ** -alpha for m in range(1, m_cap + 1))
     rhs = (m_cap ** (1.0 - alpha) - alpha) / (1.0 - alpha)
-    applicable = m_cap >= 2
-    verdict = compare_strict(lhs, rhs) if applicable else INCONCLUSIVE
-    return BoundReport(
-        label=f"partial-sum[alpha={alpha:g}]",
-        x_or_m=m_cap,
-        lhs=lhs,
-        rhs=rhs,
-        observed=None,
-        applicable=applicable,
-        verdict=verdict,
-    )
+    return strict_report(f"partial-sum[alpha={alpha:g}]", m_cap, lhs, rhs, applicable=m_cap >= 2)
 
 
 def check_weighted_square(m_cap: int) -> BoundReport:
@@ -263,16 +244,7 @@ def check_weighted_square(m_cap: int) -> BoundReport:
         compare_strict(halved, tail) != FAIL
         and 3 * sq_tail >= m_cap**3  # exact-integer form of halved >= rhs
     )
-    verdict = compare_strict(rhs, full) if links_hold else FAIL
-    return BoundReport(
-        label="weighted-square",
-        x_or_m=m_cap,
-        lhs=rhs,
-        rhs=full,
-        observed=None,
-        applicable=True,
-        verdict=verdict,
-    )
+    return strict_report("weighted-square", m_cap, rhs, full, verdict=None if links_hold else FAIL)
 
 
 def square_pyramid(m_cap: int) -> int:
@@ -294,14 +266,8 @@ def check_pyramid(m_cap: int) -> BoundReport:
         raise ValueError(f"M must be >= 1, got {m_cap}")
     direct = sum(n * n for n in range(1, m_cap + 1))
     closed = square_pyramid(m_cap)
-    return BoundReport(
-        label="pyramid",
-        x_or_m=m_cap,
-        lhs=float(direct),
-        rhs=float(closed),
-        observed=closed,
-        applicable=True,
-        verdict=PASS if direct == closed else FAIL,
+    return strict_report(
+        "pyramid", m_cap, direct, closed, closed, verdict=PASS if direct == closed else FAIL
     )
 
 
@@ -319,41 +285,19 @@ def check_reference_values(table: PrimeTable) -> BoundReport:
         (i for i, (e, c) in enumerate(zip(expected, computed)) if e != c),
         min(len(expected), len(computed)),
     )
-    return BoundReport(
-        label="reference-values",
-        x_or_m=REFERENCE_LIMIT,
-        lhs=float(len(expected)),
-        rhs=float(len(computed)),
-        observed=agree,
-        applicable=True,
+    return strict_report(
+        "reference-values", REFERENCE_LIMIT, len(expected), len(computed), agree,
         verdict=PASS if computed == expected else FAIL,
     )
 
 
 def dusart_reports(check: DusartCheck) -> tuple[BoundReport, BoundReport]:
     """Split a DusartCheck into uniform lower/upper BoundReports."""
-    pi_f = float(check.pi_value)
-    lower = BoundReport(
-        label="dusart-lower",
-        x_or_m=check.n,
-        lhs=check.lower_value,
-        rhs=pi_f,
-        observed=check.pi_value,
-        applicable=check.lower_applicable,
-        verdict=compare_strict(check.lower_value, pi_f)
-        if check.lower_applicable
-        else INCONCLUSIVE,
+    n, pi_n = check.n, check.pi_value
+    return (
+        strict_report("dusart-lower", n, check.lower_value, pi_n, pi_n, check.lower_applicable),
+        strict_report("dusart-upper", n, pi_n, check.upper_value, pi_n),
     )
-    upper = BoundReport(
-        label="dusart-upper",
-        x_or_m=check.n,
-        lhs=pi_f,
-        rhs=check.upper_value,
-        observed=check.pi_value,
-        applicable=True,
-        verdict=compare_strict(pi_f, check.upper_value),
-    )
-    return lower, upper
 
 
 def verify_count_bounds(
@@ -372,41 +316,18 @@ def verify_count_bounds(
         counts = count_sums(x, table)
         pi_sqrt = prime_count(isqrt(x), table)
         low = lower_bound(x)
-        low_app = x >= LOWER_MIN_X
-        up = upper_bound(x)
-        up_sharp = upper_bound(x, sharp=True)
-        for name, observed in (
-            ("pi-sqrt", pi_sqrt),
-            ("distinct", counts.distinct_count),
-            ("multiplicity", counts.multiplicity_count),
-        ):
+        uppers = (
+            ("count-upper", upper_bound(x)),
+            ("count-upper-sharp", upper_bound(x, sharp=True)),
+        )
+        found = (("distinct", counts.distinct_count), ("multiplicity", counts.multiplicity_count))
+        for name, observed in (("pi-sqrt", pi_sqrt), *found):
             reports.append(
-                BoundReport(
-                    label=f"count-lower/{name}",
-                    x_or_m=x,
-                    lhs=low,
-                    rhs=float(observed),
-                    observed=observed,
-                    applicable=low_app,
-                    verdict=compare_strict(low, observed) if low_app else INCONCLUSIVE,
-                )
+                strict_report(f"count-lower/{name}", x, low, observed, observed, x >= LOWER_MIN_X)
             )
-        for name, observed in (
-            ("distinct", counts.distinct_count),
-            ("multiplicity", counts.multiplicity_count),
-        ):
-            for tag, bound in (("count-upper", up), ("count-upper-sharp", up_sharp)):
-                reports.append(
-                    BoundReport(
-                        label=f"{tag}/{name}",
-                        x_or_m=x,
-                        lhs=float(observed),
-                        rhs=bound,
-                        observed=observed,
-                        applicable=True,
-                        verdict=compare_strict(observed, bound),
-                    )
-                )
+        for name, observed in found:
+            for tag, bound in uppers:
+                reports.append(strict_report(f"{tag}/{name}", x, observed, bound, observed))
     return reports
 
 

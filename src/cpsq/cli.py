@@ -5,8 +5,8 @@ text (default), JSON, or CSV; diagnostics go to stderr. Every command
 writes ASCII bytes with "\n" line ends to stdout's binary layer, whatever
 stdout's encoding, or the same text to a stdout that has no binary layer
 (an ``io.StringIO``), and ends its output with one newline, except a text
-``list`` with no value, which writes nothing. Exit codes: 0 success / all
-checks pass, 1 a ``verify`` check failed, 2 bad usage or argument values,
+``list`` with no value, which writes nothing. Exit codes: 0 success / no
+check failed, 1 a ``verify`` check failed, 2 bad usage or argument values,
 3 a resource refusal (a sieve limit or a dedup too large) or an output
 that cannot be written (a full disk, a stdout not open for writing).
 
@@ -50,7 +50,7 @@ from .errors import ResourceLimitError, brief
 from .primes import PrimeTable, sieve_primes
 # no command reads or writes a table file; perfbench/spans.py wraps these two names
 from .primes import load_table, save_table  # noqa: F401
-from .reports import FAIL
+from .reports import FAIL, INCONCLUSIVE, PASS
 from .serialize import FORMATS, serialize_report, write_values
 from .windows import (
     Representation,
@@ -251,9 +251,10 @@ def _cmd_verify(config: CliConfig) -> _Outcome:
     ]
     text = serialize_report(reports, config.format)
     if config.format == "text":
+        inconclusive = sum(r.verdict == INCONCLUSIVE for r in reports)
         text += (
-            f"\n{len(reports)} checks, {len(failed)} failures"
-            + ("" if failed else " (all pass)")
+            f"\n{len(reports)} checks, {len(failed)} failures, {inconclusive} inconclusive"
+            + (" (all pass)" if all(r.verdict == PASS for r in reports) else "")
         )
     return (1 if failed else 0), text
 

@@ -60,8 +60,12 @@ class PrimeTable:
     (1-based, p_1 = 2) is ``primes[k - 1]``. ``square_prefix`` is the
     read-only uint64 array (S_0, S_1, ..., S_K) of the prefix sums mod 2^64,
     so ``square_prefix[k] - square_prefix[k - 1]`` is p_k^2 in uint64
-    arithmetic. Instances never mutate after construction and are safe to
-    share between threads.
+    arithmetic. A contiguous int64 ``primes`` passed in becomes the table's
+    own array, not a copy, with its ``writeable`` flag cleared; the caller
+    must not set the flag back and write to it, which would change
+    ``primes`` and ``nth_prime`` but not ``square_prefix``. ``sieve_primes``
+    and ``load_table`` pass arrays of their own. Kept so, a table never
+    changes after construction and is safe to share between threads.
 
     A private read-only ``memoryview`` of ``primes`` sits beside it: it
     copies nothing, and indexing it returns a Python int in about half the

@@ -6,6 +6,12 @@ output. Verdicts are three-valued: a strict inequality that lands within a
 small safety margin of equality is reported as "inconclusive" instead of
 being rounded into a pass or a fail.
 
+The rule that turns two sides into a verdict lives here once, in
+``strict_report``, which builds every report in ``bounds``: a verdict the
+caller passes in (a broken exact link, or an equality check) wins; else an
+inapplicable check is INCONCLUSIVE; else the verdict is
+``compare_strict(lhs, rhs)``.
+
 Records here and in ``primes``, ``windows`` and ``bounds`` are immutable
 ``NamedTuple``s: they compare as tuples of their values, and ``_fields``,
 ``_asdict`` and ``_replace`` serve for reflection and copies. The two hot
@@ -78,3 +84,24 @@ class BoundReport(NamedTuple):
     observed: int | None
     applicable: bool
     verdict: str
+
+
+def strict_report(
+    label: str,
+    x_or_m: int,
+    lhs: float,
+    rhs: float,
+    observed: int | None = None,
+    applicable: bool = True,
+    verdict: str | None = None,
+) -> BoundReport:
+    """A BoundReport of ``lhs < rhs`` with both sides as floats.
+
+    The verdict is ``verdict`` when one is passed in, else INCONCLUSIVE when
+    the check is not ``applicable``, else ``compare_strict(lhs, rhs)``.
+    """
+    lhs = float(lhs)
+    rhs = float(rhs)
+    if verdict is None:
+        verdict = compare_strict(lhs, rhs) if applicable else INCONCLUSIVE
+    return BoundReport(label, x_or_m, lhs, rhs, observed, applicable, verdict)

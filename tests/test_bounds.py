@@ -33,7 +33,7 @@ from cpsq import (
 )
 from cpsq.cli import main
 from cpsq.primes import MAX_LIMIT
-from cpsq.reports import FAIL, INCONCLUSIVE, PASS, compare_strict
+from cpsq.reports import FAIL, INCONCLUSIVE, PASS, BoundReport, compare_strict, strict_report
 from oracles import (
     reference_check_weighted_square,
     reference_check_window_cap_substitution,
@@ -393,6 +393,45 @@ def test_verify_count_bounds_applicability_edge(table_small):
     assert all(
         r.verdict == PASS for r in reports if r.applicable
     )
+
+
+def test_strict_report_draws_no_conclusion_outside_the_range():
+    assert compare_strict(2.0, 1.0) == FAIL
+    r = strict_report("t", 5, 2.0, 1.0, applicable=False)
+    assert r == ("t", 5, 2.0, 1.0, None, False, INCONCLUSIVE)
+
+
+def test_strict_report_takes_a_verdict_passed_in():
+    assert strict_report("t", 5, 1.0, 2.0).verdict == PASS
+    assert strict_report("t", 5, 1.0, 2.0, verdict=FAIL).verdict == FAIL
+    assert strict_report("t", 5, 2.0, 1.0, verdict=PASS).verdict == PASS
+    assert strict_report("t", 5, 2.0, 1.0, applicable=False, verdict=FAIL).verdict == FAIL
+
+
+def test_strict_report_stores_both_sides_as_floats():
+    r = strict_report("t", 7, 3, 2**53 + 1, 3)
+    assert type(r) is BoundReport
+    assert r == ("t", 7, 3.0, 2.0**53, 3, True, PASS)
+    assert (type(r.lhs), type(r.rhs), type(r.observed)) == (float, float, int)
+
+
+def test_every_battery_row_follows_the_one_verdict_rule():
+    reports = full_verification([2, 100, 288, 289, 10**4])
+    assert len(reports) == 145
+    assert sum(not r.applicable for r in reports) == 14
+    for r in reports:
+        assert (type(r.lhs), type(r.rhs)) == (float, float), r
+        if not r.applicable:
+            assert r.verdict == INCONCLUSIVE, r
+        elif r.label not in ("pyramid", "reference-values"):
+            assert r.verdict == compare_strict(r.lhs, r.rhs), r
+    assert {r.label.split("[")[0] for r in reports} == {
+        *(f"count-lower/{name}" for name in ("pi-sqrt", "distinct", "multiplicity")),
+        *(f"{tag}/{name}" for tag in ("count-upper", "count-upper-sharp")
+          for name in ("distinct", "multiplicity")),
+        "length-count-bound", "window-cap-substitution", "dusart-lower", "dusart-upper",
+        "rosser", "partial-sum", "weighted-square", "pyramid", "reference-values",
+    }
 
 
 def test_theorem_brackets_both_counts_up_to_1e10(table_big):

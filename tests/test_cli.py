@@ -27,6 +27,7 @@ from cpsq import (
     sieve_primes,
 )
 from cpsq.cli import main
+from cpsq.reports import FAIL, PASS
 from cpsq.serialize import VALUE_CHUNK
 from oracles import printed_values
 
@@ -235,7 +236,8 @@ def test_exponent_shorthands(capsys):
 def test_verify_small_grid_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--grid", "289,1000")
     assert code == 0
-    assert "failures (all pass)" in out
+    # the Dusart lower bound draws no conclusion below N = 17
+    assert out.endswith("\n105 checks, 0 failures, 5 inconclusive\n")
     assert "-> fail" not in out
 
 
@@ -245,7 +247,23 @@ def test_verify_exit_1_when_a_bound_fails(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "--grid", "1000")
     assert code == 1
     assert "-> fail" in out
-    assert "failures" in out and "all pass" not in out
+    assert out.endswith(" failures, 5 inconclusive\n") and "all pass" not in out
+
+
+def test_verify_says_all_pass_only_when_every_row_passes(capsys, monkeypatch):
+    battery = cpsq.bounds.full_verification([289])
+    passing = [r for r in battery if r.verdict == PASS]
+    monkeypatch.setattr(cpsq.cli, "full_verification", lambda grid: passing)
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == 0
+    assert out.endswith(f"\n{len(passing)} checks, 0 failures, 0 inconclusive (all pass)\n")
+    # an informational row's failure is no failure, but not a pass either
+    (sub,) = [r for r in passing if r.label in cpsq.bounds.INFORMATIONAL_LABELS]
+    failing = [r._replace(verdict=FAIL) if r is sub else r for r in passing]
+    monkeypatch.setattr(cpsq.cli, "full_verification", lambda grid: failing)
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == 0
+    assert out.endswith(f"\n{len(passing)} checks, 0 failures, 0 inconclusive\n")
 
 
 def reference_rows(out, fmt):
@@ -297,7 +315,7 @@ def verify_against(capsys, monkeypatch, wrong, observed):
         {"line": f"reference-values             at 5000: 91 vs {wrong.size} "
                  f"observed={observed} -> fail"}
     ]
-    assert out.endswith(" checks, 1 failures\n")
+    assert out.endswith(" checks, 1 failures, 5 inconclusive\n")
     code, out, _ = run_cli(capsys, "verify", "--grid", "289", "--format", "json")
     assert code == 1
     (row,) = reference_rows(out, "json")

@@ -23,7 +23,7 @@ GOLDEN = {
     "list 100000 --format csv":
         "b6de287e70769d785be9f17ad746c075804bf0a41215f1b49cdaaa20b3a161a0",
     "verify":
-        "28ccd7bb5cb820639fa2617884844c48f4001db329f2adba401e3c214ef1d44e",
+        "64f4f5dd556a069c119b41c10298778081c3e843cdacc44b98da0f978db6133e",
     "maxlen 1e19":
         "fe295bfade826ce881e01c7a7dfa9c935d8db7bc4fa981364bff8279c8ec6b61",
     "maxlen 2":
@@ -38,6 +38,12 @@ GOLDEN = {
         "071df072e785b0a062fcf969744fd4741930b70ab7faa3b38f699667523856e0",
     "verify --format csv":
         "8f9d44e05bb60085c6a6a63cb85ba4d9c9dc21752f495d9ae5ce8e1e11d6e0e0",
+    # JSON keeps every bit of lhs and rhs, which text and CSV round to 6
+    # digits; the second grid holds the inapplicable count-lower rows
+    "verify --format json":
+        "6eb5a836893146bc5ed791ecfbdcf7827f45540e7cbf49392c74d8454a9a5192",
+    "verify --grid 2,100,288,289,10000 --format json":
+        "80d8b0ad90b3517fc79f723a39fcd8f5a2d693f50e1ff535c7f2313b41029125",
 }
 
 
