@@ -10,6 +10,10 @@ check failed, 1 a ``verify`` check failed, 2 bad usage or argument values,
 3 a resource refusal (a sieve limit or a dedup too large) or an output
 that cannot be written (a full disk, a stdout not open for writing).
 
+``_COMMANDS`` is the one list of the subcommands: each one's help line,
+operand, handler and own options. The parser, the parsed ``CliConfig`` and
+the dispatch are all built from it.
+
 A reader that closes stdout early (``cpsq list 1e10 | head``) ends the
 output quietly: the command keeps the exit code it had already decided.
 So does a stdout or stderr closed at the start (``cpsq list 100 >&-``):
@@ -106,13 +110,14 @@ def _integer_arg(text: str) -> int:
 
 def _grid_arg(text: str) -> tuple[int, ...]:
     parts = [part for part in text.split(",") if part]
+    reason = ""
     try:
         grid = tuple(_integer_arg(part) for part in parts)
-    except argparse.ArgumentTypeError:
-        grid = ()
+    except argparse.ArgumentTypeError as exc:
+        grid, reason = (), f": {exc}"
     if not grid:
         raise argparse.ArgumentTypeError(
-            f"grid must be comma-separated integers, got {_named(text)}"
+            f"grid must be comma-separated integers, got {_named(text)}{reason}"
         )
     for part, x in zip(parts, grid):
         if x < 2:
@@ -120,67 +125,6 @@ def _grid_arg(text: str) -> tuple[int, ...]:
                 f"grid entries must be at least 2, got {_named(part)}"
             )
     return grid
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cpsq",
-        description="Sums of squares of consecutive primes: "
-        "enumeration, counting, and bound verification.",
-    )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format", choices=FORMATS, default="text", help="output format"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "count", parents=[common], help="count representable values <= x"
-    )
-    p.add_argument("x", type=_integer_arg)
-    p.add_argument(
-        "--count-mode",
-        choices=COUNT_MODES,
-        default="both",
-        help="which count the text output reports",
-    )
-
-    p = sub.add_parser(
-        "list", parents=[common], help="list distinct representable values <= x"
-    )
-    p.add_argument("x", type=_integer_arg)
-
-    p = sub.add_parser(
-        "find", parents=[common], help="find windows summing exactly to a target"
-    )
-    p.add_argument("target", type=_integer_arg)
-
-    p = sub.add_parser(
-        "maxlen", parents=[common], help="analytic and exact window-length caps at x"
-    )
-    p.add_argument("x", type=_integer_arg)
-
-    p = sub.add_parser(
-        "verify", parents=[common], help="run the full bound-verification battery"
-    )
-    p.add_argument(
-        "--grid",
-        type=_grid_arg,
-        default=None,
-        help="comma-separated x values (default: 289 and 1e3..1e9)",
-    )
-    return parser
-
-
-def parse_args(argv: list[str] | None = None) -> CliConfig:
-    ns = build_parser().parse_args(argv)
-    return CliConfig(
-        command=ns.command,
-        x_or_target=ns.target if ns.command == "find" else getattr(ns, "x", None),
-        format=ns.format,
-        count_mode=getattr(ns, "count_mode", "both"),
-        grid=getattr(ns, "grid", None),
-    )
 
 
 def provision_table(needed_limit: int, config: CliConfig) -> PrimeTable:
@@ -259,13 +203,49 @@ def _cmd_verify(config: CliConfig) -> _Outcome:
     return (1 if failed else 0), text
 
 
-_HANDLERS = {
-    "count": _cmd_count,
-    "list": _cmd_list,
-    "find": _cmd_find,
-    "maxlen": _cmd_maxlen,
-    "verify": _cmd_verify,
+#: the options one subcommand alone takes: a flag and its add_argument keywords
+_COUNT_MODE = "--count-mode", dict(
+    choices=COUNT_MODES, default="both", help="which count the text output reports"
+)
+_GRID = "--grid", dict(
+    type=_grid_arg, help="comma-separated x values (default: 289 and 1e3..1e9)"
+)
+
+#: the one list of subcommands: name -> (help line, the name of its one
+#: integer operand or None, handler, its own options); the parser, the
+#: parsed CliConfig and run's dispatch are all built from it
+_COMMANDS = {
+    "count": ("count representable values <= x", "x", _cmd_count, _COUNT_MODE),
+    "list": ("list distinct representable values <= x", "x", _cmd_list),
+    "find": ("find windows summing exactly to a target", "target", _cmd_find),
+    "maxlen": ("analytic and exact window-length caps at x", "x", _cmd_maxlen),
+    "verify": ("run the full bound-verification battery", None, _cmd_verify, _GRID),
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="cpsq",
+        description="Sums of squares of consecutive primes: "
+        "enumeration, counting, and bound verification.",
+    )
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "--format", choices=FORMATS, default="text", help="output format"
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, operand, _, *options) in _COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_line)
+        if operand:
+            # one dest for every operand; the metavar keeps its name in help and errors
+            p.add_argument("x_or_target", metavar=operand, type=_integer_arg)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+    return parser
+
+
+def parse_args(argv: list[str] | None = None) -> CliConfig:
+    return CliConfig(**vars(build_parser().parse_args(argv)))
 
 
 def run(config: CliConfig) -> int:
@@ -274,7 +254,7 @@ def run(config: CliConfig) -> int:
         x = config.x_or_target
         if x is not None and x < 1:
             raise ValueError(f"{config.command} needs a positive integer, got {brief(x)}")
-        code, output = _HANDLERS[config.command](config)
+        code, output = _COMMANDS[config.command][2](config)
     except (ResourceLimitError, ValueError) as exc:
         _to_stderr(f"error: {exc}")
         return 3 if isinstance(exc, ResourceLimitError) else 2

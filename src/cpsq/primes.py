@@ -67,6 +67,13 @@ class PrimeTable:
     and ``load_table`` pass arrays of their own. Kept so, a table never
     changes after construction and is safe to share between threads.
 
+    The constructor trusts its caller: it checks ``limit`` against
+    ``MAX_LIMIT`` and nothing of ``primes``, neither that they are the
+    primes, nor their order, nor ``primes[-1] <= limit``. ``sieve_primes``
+    builds them so and ``load_table`` validates a file's list before it
+    builds a table; any other list gives a table whose answers follow that
+    list (``PrimeTable(2, np.array([2, 3, 5]))`` has ``nth_prime(3) == 5``).
+
     A private read-only ``memoryview`` of ``primes`` sits beside it: it
     copies nothing, and indexing it returns a Python int in about half the
     time of ``ndarray.item``, which ``nth_prime`` reads through. A

@@ -146,15 +146,9 @@ def _text_line(record: Record) -> str:
             f"multiplicity={record.multiplicity_count} "
             f"max_length={record.max_length_seen} per_length={lengths}"
         )
-    if isinstance(record, DusartCheck):
-        return (
-            f"N={record.n} {record.lower_value:.6g} < pi={record.pi_value} "
-            f"< {record.upper_value:.6g} "
-            f"(lower from N>=17: {str(record.lower_applicable).lower()}) "
-            f"passed={str(record.passed).lower()}"
-        )
-    # any other record: name=value a field (record_to_dict refuses a non-record)
-    return " ".join(f"{k}={v}" for k, v in record_to_dict(record).items())
+    # any other record: name=value a field, each value a CSV cell
+    # (record_to_dict refuses a non-record)
+    return " ".join(f"{k}={_cell(v)}" for k, v in record_to_dict(record).items())
 
 
 def to_text(records: Iterable[Record]) -> str:

@@ -250,6 +250,34 @@ def test_verify_exit_1_when_a_bound_fails(capsys, monkeypatch):
     assert out.endswith(" failures, 5 inconclusive\n") and "all pass" not in out
 
 
+# the names perfbench's tracer rebinds in cpsq.cli: each command must reach
+# them through the module, so that a rebinding is seen
+@pytest.mark.parametrize(
+    ("name", "argv"),
+    [
+        ("count_sums", ["count", "5000"]),
+        ("values_up_to", ["list", "5000"]),
+        ("find_representations", ["find", "2020"]),
+        ("sieve_primes", ["count", "5000"]),
+        ("sieve_primes", ["list", "5000"]),
+        ("sieve_primes", ["find", "2020"]),
+        ("serialize_report", ["count", "5000", "--format", "json"]),
+    ],
+)
+def test_each_command_calls_the_library_through_the_cli_module(capsys, monkeypatch, name, argv):
+    calls = []
+    wrapped = getattr(cpsq.cli, name)
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return wrapped(*args, **kwargs)
+
+    monkeypatch.setattr(cpsq.cli, name, recording)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert calls
+
+
 def test_verify_says_all_pass_only_when_every_row_passes(capsys, monkeypatch):
     battery = cpsq.bounds.full_verification([289])
     passing = [r for r in battery if r.verdict == PASS]
@@ -372,6 +400,84 @@ def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
     assert "count" in out and "verify" in out
+
+
+_FORMAT_HELP = """\
+  --format {text,json,csv}
+                        output format
+"""
+_COUNT_USAGE = """\
+usage: cpsq count [-h] [--format {text,json,csv}]
+                  [--count-mode {distinct,multiplicity,both}]
+                  x
+"""
+_VERIFY_USAGE = "usage: cpsq verify [-h] [--format {text,json,csv}] [--grid GRID]\n"
+
+
+def _operand_help(command, operand):
+    return f"""\
+usage: cpsq {command} [-h] [--format {{text,json,csv}}] {operand}
+
+positional arguments:
+  {operand}
+
+options:
+  -h, --help            show this help message and exit
+""" + _FORMAT_HELP
+
+
+#: argv -> (exit code, stdout, stderr): argparse's help and usage errors
+#: at 80 columns, as Python 3.11's argparse lays them out
+CLI_SURFACE = {
+    "--help": (0, """\
+usage: cpsq [-h] {count,list,find,maxlen,verify} ...
+
+Sums of squares of consecutive primes: enumeration, counting, and bound
+verification.
+
+positional arguments:
+  {count,list,find,maxlen,verify}
+    count               count representable values <= x
+    list                list distinct representable values <= x
+    find                find windows summing exactly to a target
+    maxlen              analytic and exact window-length caps at x
+    verify              run the full bound-verification battery
+
+options:
+  -h, --help            show this help message and exit
+""", ""),
+    "count --help": (0, _COUNT_USAGE + """
+positional arguments:
+  x
+
+options:
+  -h, --help            show this help message and exit
+""" + _FORMAT_HELP + """\
+  --count-mode {distinct,multiplicity,both}
+                        which count the text output reports
+""", ""),
+    "list --help": (0, _operand_help("list", "x"), ""),
+    "find --help": (0, _operand_help("find", "target"), ""),
+    "maxlen --help": (0, _operand_help("maxlen", "x"), ""),
+    "verify --help": (0, _VERIFY_USAGE + """
+options:
+  -h, --help            show this help message and exit
+""" + _FORMAT_HELP + """\
+  --grid GRID           comma-separated x values (default: 289 and 1e3..1e9)
+""", ""),
+    "count": (2, "", _COUNT_USAGE
+              + "cpsq count: error: the following arguments are required: x\n"),
+    "find x": (2, "", "usage: cpsq find [-h] [--format {text,json,csv}] target\n"
+               "cpsq find: error: argument target: not an integer: 'x'\n"),
+    "verify --grid 1": (2, "", _VERIFY_USAGE + "cpsq verify: error: argument --grid: "
+                        "grid entries must be at least 2, got '1'\n"),
+}
+
+
+@pytest.mark.parametrize("argv", CLI_SURFACE)
+def test_help_and_usage_errors_keep_their_text(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli(capsys, *argv.split()) == CLI_SURFACE[argv]
 
 
 def test_resource_refusal_exits_3(capsys):
@@ -753,6 +859,18 @@ def test_a_long_unreadable_argument_is_named_by_its_length(capsys):
         assert "<41 characters>" in capsys.readouterr().err
     assert main(["count", "12x"]) == 2
     assert "not an integer: '12x'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("grid", "reason"),
+    [("10^1000000", "'10^1000000' has more than"), ("289,12x", "not an integer: '12x'")],
+)
+def test_a_refused_grid_keeps_the_reason_of_its_entry(capsys, grid, reason):
+    code, out, err = run_cli(capsys, "verify", "--grid", grid)
+    assert code == 2 and out == ""
+    (line,) = [line for line in err.splitlines() if "error:" in line]
+    assert f"grid must be comma-separated integers, got {grid!r}: {reason}" in line
+    assert len(line) < 200
 
 
 def test_the_module_entry_prints_what_main_prints(capsys, tmp_path):

@@ -150,6 +150,13 @@ def test_text_window_cap_line():
     assert to_text([SAMPLE_CAP]) == "x=5000 analytic_m=19 exact_m=12"
 
 
+def test_text_dusart_line_renders_each_value_as_a_csv_cell():
+    assert to_text([SAMPLE_DUSART]) == (
+        "n=17 lower_value=6.00025 pi_value=7 upper_value=7.53152 "
+        "lower_applicable=true passed=true"
+    )
+
+
 def test_serialize_report_dispatch_and_unknown_format():
     assert serialize_report([], "json") == "[]"
     assert serialize_report([], "text") == ""
