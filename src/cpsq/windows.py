@@ -20,11 +20,13 @@ strictly increasing in m. Those two monotonicities drive everything here:
 * past SPLIT_WINDOWS windows, count_sums dedups 24 residue classes apart,
   one after another: p^2 = 1 (mod 24) for every prime p >= 5, so a window
   (n, m) with n >= 3 has value = m (mod 24) and equal values share a class
-  of value mod 24. Each class is a cache-sized sort of its own, and only
+  of value mod 24. _distinct_by_class fills each class itself, at the size
+  its guard counted, and each class is a cache-sized sort of its own; only
   one class buffer is held at a time.
-* values_up_to needs one ascending array instead: it sorts its one value
-  buffer whole with _sort, at any size, and closes up the repeats inside
-  the buffer.
+* below SPLIT_WINDOWS, and in values_up_to at any size, _window_values
+  fills every window in one piece and refuses first when that piece would
+  pass MAX_DEDUP_BYTES. values_up_to sorts its one buffer whole with _sort
+  and closes up the repeats inside it, for one ascending array.
 
 Prefix sums are held mod 2^64, so a difference is a window's true value
 only below 2^64; the walk states why its probes stay there.
@@ -196,34 +198,18 @@ def _refuse_past_ceiling(counts: list[int], held: int) -> None:
         )
 
 
-def _window_values(
-    counts: list[int],
-    table: PrimeTable,
-    residue: int | None = None,
-    heads: np.ndarray | None = None,
-) -> np.ndarray:
-    """The values of the windows the walk counted (all <= x, so exact),
-    8 bytes each, one ascending run per length.
-
-    With a ``residue`` r, only residue class r: the windows from starts
-    n >= 3 of every length m = r (mod 24), whose values are all = r, plus
-    ``heads``, the class's values of windows from p_1 = 2 and p_2 = 3.
-    Every c_m in ``counts`` must then be at least 3.
+def _window_values(counts: list[int], table: PrimeTable) -> np.ndarray:
+    """The values of every window the walk counted (all <= x, so exact),
+    8 bytes each, one ascending run per length, in one piece; refused
+    past MAX_DEDUP_BYTES at 9 bytes a window, before anything is allocated.
     """
+    total = sum(counts)
+    _refuse_past_ceiling(counts, 9 * total)
     sp = table.square_prefix
-    if residue is None:
-        skip, first, step = 0, 1, 1
-    else:
-        skip, first, step = 2, residue or _CLASSES, _CLASSES
-    runs = counts[first - 1 :: step]
-    extra = 0 if heads is None else heads.size
-    values = np.empty(extra + sum(runs) - skip * len(runs), dtype=np.uint64)
-    if extra:
-        values[:extra] = heads
-    end = extra
-    for m, c in zip(range(first, len(counts) + 1, step), runs):
-        c -= skip
-        np.subtract(sp[skip + m : skip + m + c], sp[skip : skip + c], out=values[end : end + c])
+    values = np.empty(total, dtype=np.uint64)
+    end = 0
+    for m, c in enumerate(counts, 1):
+        np.subtract(sp[m : m + c], sp[:c], out=values[end : end + c])
         end += c
     return values
 
@@ -268,10 +254,13 @@ def _distinct_by_class(counts: list[int], table: PrimeTable) -> int:
     """The number of distinct window values, as the sum over the 24 residue
     classes of each class's own distinct count.
 
-    The classes are sorted one after another, so at most 9 bytes a window
-    of the largest class are held at once, plus 32 bytes a head value while
-    the heads are split and 40 a length for the walk's counts; past
-    MAX_DEDUP_BYTES this refuses before anything is allocated.
+    Each class r fills a buffer of its own size: the heads, the windows
+    from p_1 = 2 and p_2 = 3 whose value is r mod 24, then the windows
+    from starts n >= 3 of every length m = r (mod 24). The classes are
+    sorted one after another, so at most 9 bytes a window of the largest
+    class are held at once, plus 32 bytes a head and 40 a length for the
+    walk's counts; past MAX_DEDUP_BYTES this refuses before any class is
+    allocated.
     """
     sp = table.square_prefix
     c = np.array(counts, dtype=np.int64)
@@ -280,18 +269,22 @@ def _distinct_by_class(counts: list[int], table: PrimeTable) -> int:
     twos = np.count_nonzero(c >= 2)
     heads = np.concatenate((sp[1 : c.size + 1] - sp[0], sp[2 : twos + 2] - sp[1]))
     residues = (heads % _CLASSES).astype(np.uint8)
-    order = np.argsort(residues, kind="stable")
-    heads = heads[order]
-    cuts = np.searchsorted(residues[order], np.arange(_CLASSES + 1))
-    tails = np.maximum(c - 2, 0)  # the windows from starts n >= 3
-    sizes = np.bincount(np.arange(1, c.size + 1) % _CLASSES, tails, _CLASSES)
-    sizes = sizes.astype(np.int64) + np.diff(cuts)
-    long = counts[: np.count_nonzero(tails)]
+    # the lengths with windows from starts n >= 3, c_m - 2 of them: a prefix too
+    threes = int(np.count_nonzero(c >= 3))
+    sizes = np.bincount(np.arange(1, threes + 1) % _CLASSES, c[:threes] - 2, _CLASSES)
+    sizes = sizes.astype(np.int64) + np.bincount(residues, minlength=_CLASSES)
     _refuse_past_ceiling(counts, 9 * int(sizes.max()) + 32 * heads.size)
 
     def distinct(r: int) -> int:
         # a class's values die with this frame, before the next class is made
-        values = _window_values(long, table, r, heads[cuts[r] : cuts[r + 1]])
+        values = np.empty(sizes[r], dtype=np.uint64)
+        mine = heads[residues == r]
+        values[: mine.size] = mine
+        end = mine.size
+        for m in range(r or _CLASSES, threes + 1, _CLASSES):
+            n = counts[m - 1]
+            np.subtract(sp[m + 2 : m + n], sp[2:n], out=values[end : end + n - 2])
+            end += n - 2
         return values.size - _sort(values).size
 
     return sum(distinct(r) for r in range(_CLASSES))
@@ -312,7 +305,6 @@ def count_sums(x: int, table: PrimeTable) -> CountReport:
     counts = _walk(x, table)
     total = sum(counts)
     if total < SPLIT_WINDOWS:
-        _refuse_past_ceiling(counts, 9 * total)
         distinct = total - _sort(_window_values(counts, table)).size
     else:
         distinct = _distinct_by_class(counts, table)
@@ -348,10 +340,8 @@ def values_up_to(x: int, table: PrimeTable) -> np.ndarray:
     on the calling thread, 9 bytes a window and 40 a length in all, refused
     past MAX_DEDUP_BYTES.
     """
-    counts = _walk(_covered(x, table), table)
-    total = sum(counts)
-    _refuse_past_ceiling(counts, 9 * total)
-    values = _window_values(counts, table)
+    values = _window_values(_walk(_covered(x, table), table), table)
+    total = values.size
     # each run between repeats moves left past the repeats before it (numpy
     # copies an overlapping 1-D slice in order, without a temporary)
     ends = [*_sort(values).tolist(), total]

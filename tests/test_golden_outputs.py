@@ -16,6 +16,13 @@ from cpsq.cli import main
 GOLDEN = {
     "count 1000000000000 --format json":
         "e69c3a1f37cf1e65bd897f6508fd11ed8d2bea1a56ec081aafda258b31a53c2f",
+    # the text line with its per-length map, and each count mode's own line
+    "count 1000000000000":
+        "8eb292b0eb534c2cffde2638557ab70a6842179fc1ee1b44298065bb37c48dac",
+    "count 1000000000000 --count-mode distinct":
+        "08c27512396edf26d671d7dd066442da133d06f43015bc4bd4aa3df328686b63",
+    "count 1000000000000 --count-mode multiplicity":
+        "27f6819653f0516d7d11020048547dc0bac39b2a31631e65a3f333fd32689a81",
     "list 99000000000":
         "465620ad39d64c2286f8895ae8efb230cc108b538b59c5d8e3d8b6bae5ce349d",
     "list 5000 --format json":

@@ -277,39 +277,39 @@ def test_split_distinct_count_matches_oracle(table_small, x):
 def test_each_class_holds_the_windows_of_its_residue(table_small, monkeypatch):
     # no value repeats below 10^6, so only the classes themselves show a
     # window placed in the wrong one
-    real = cpsq.windows._window_values
-    classes = {}
+    real = cpsq.windows._sort
+    classes = []
 
-    def recording(counts, table, residue=None, heads=None):
-        values = real(counts, table, residue, heads)
-        classes[residue] = values.tolist()
-        return values
+    def recording(values):
+        classes.append(values.tolist())
+        return real(values)
 
     monkeypatch.setattr(cpsq.windows, "SPLIT_WINDOWS", 1)
-    monkeypatch.setattr(cpsq.windows, "_window_values", recording)
+    monkeypatch.setattr(cpsq.windows, "_sort", recording)
     count_sums(10**6, table_small)
-    assert sorted(classes) == list(range(24))
-    for r, values in classes.items():
+    assert len(classes) == 24
+    for r, values in enumerate(classes):
         assert all(v % 24 == r for v in values)
     windows = sorted(rep.value for rep in enumerate_representations(10**6, table_small))
-    assert sorted(v for values in classes.values() for v in values) == windows
+    assert sorted(v for values in classes for v in values) == windows
 
 
 def test_an_error_in_one_class_reaches_the_caller(table_small, monkeypatch):
-    real = cpsq.windows._window_values
-    made = []
+    real = cpsq.windows._sort
+    sorted_classes = []
 
-    def failing(counts, table, residue=None, heads=None):
-        made.append(residue)
-        if residue == 5:
+    def failing(values):
+        sorted_classes.append({v % 24 for v in values.tolist()})
+        if len(sorted_classes) == 6:
             raise MemoryError("class 5")
-        return real(counts, table, residue, heads)
+        return real(values)
 
     monkeypatch.setattr(cpsq.windows, "SPLIT_WINDOWS", 1)
-    monkeypatch.setattr(cpsq.windows, "_window_values", failing)
+    monkeypatch.setattr(cpsq.windows, "_sort", failing)
     with pytest.raises(MemoryError, match="class 5"):
         count_sums(10**6, table_small)
-    assert made == list(range(6))  # no class is made after the one that failed
+    # no class is sorted after the one that failed
+    assert sorted_classes == [{r} for r in range(6)]
 
 
 def test_split_counts_at_1e12_and_1e13(table_big):
@@ -478,6 +478,18 @@ def test_values_up_to_keeps_to_9_bytes_a_window_on_one_thread(table_big):
         assert values.size == report.distinct_count
     # one piece even past the windows at which count_sums splits
     assert windows > cpsq.windows.SPLIT_WINDOWS
+
+
+def test_count_sums_in_one_piece_keeps_to_9_bytes_a_window(table_big):
+    for x in (10**9, 10**10):
+        counts = count_windows(x, table_big)
+        windows = sum(counts)
+        assert windows < cpsq.windows.SPLIT_WINDOWS  # one piece
+        # the guard's estimate: 9 bytes a window, 40 a length for the walk's counts
+        estimate = 9 * windows + 40 * len(counts)
+        peak, report = traced_peak(lambda: count_sums(x, table_big))
+        assert report.multiplicity_count == windows
+        assert peak <= estimate <= 1.25 * peak, (x, peak, estimate)
 
 
 def test_count_sums_holds_one_class_at_a_time():
