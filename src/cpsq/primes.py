@@ -3,10 +3,13 @@
 The sieve is an odd-only segmented sieve of Eratosthenes; its working set
 beyond the output is O(sqrt(limit) + segment). Alongside the primes, every
 table carries the prefix sums S_k = p_1^2 + ... + p_k^2 (1-based, S_0 = 0)
-as uint64 values mod 2^64. The windowed enumeration downstream only takes
-differences of these sums, and a difference mod 2^64 is exact whenever the
-true window value is below 2^64; the walk in ``windows`` states why its
-probes stay below that.
+as uint64 values mod 2^64, and the index of the k where that array wraps
+past a multiple of 2^64, found once when the table is built. From the two
+a table answers both directions exactly: the true S_k (``prefix_sum``)
+and the largest k with S_k <= x (``prefix_index``). The windowed
+enumeration downstream otherwise only takes differences of these sums, and
+a difference mod 2^64 is exact whenever the true window value is below
+2^64; the walk in ``windows`` states why its probes stay below that.
 
 Two classical explicit bounds are wrapped as checks here:
 
@@ -74,14 +77,23 @@ class PrimeTable:
     builds a table; any other list gives a table whose answers follow that
     list (``PrimeTable(2, np.array([2, 3, 5]))`` has ``nth_prime(3) == 5``).
 
-    A private read-only ``memoryview`` of ``primes`` sits beside it: it
-    copies nothing, and indexing it returns a Python int in about half the
+    The constructor also finds the wrap index once: the ascending k with
+    ``square_prefix[k] < square_prefix[k - 1]``, where the true S_k passes
+    a multiple of 2^64, 8 bytes a wrap (a table to 10^6 has none, to 10^7
+    one, to 10^8 999). ``prefix_sum`` counts the wraps up to k with one
+    binary search of it; ``prefix_index`` takes the run of
+    ``square_prefix`` between the two wraps that x's quotient by 2^64
+    names and bisects that run alone. Neither scans ``square_prefix``.
+
+    A private read-only ``memoryview`` of ``primes`` sits beside the array:
+    it copies nothing, and indexing it returns a Python int in about half the
     time of ``ndarray.item``, which ``nth_prime`` reads through. A
     memoryview cannot be pickled, so a table pickles and copies as its
-    ``(limit, primes)``, from which it is rebuilt.
+    ``(limit, primes)``, from which it is rebuilt, its sums and wrap index
+    with it.
     """
 
-    __slots__ = ("limit", "primes", "square_prefix", "_prime_view")
+    __slots__ = ("limit", "primes", "square_prefix", "_wraps", "_prime_view")
 
     def __init__(self, limit: int, primes: np.ndarray) -> None:
         limit = _check_limit(limit)
@@ -95,6 +107,9 @@ class PrimeTable:
         self.limit = limit
         self.primes = arr
         self.square_prefix = prefix
+        # every p^2 < 2^63, so no step wraps twice: the k where S_k passes a
+        # multiple of 2^64 are exactly those where the stored sum falls
+        self._wraps = np.flatnonzero(prefix[1:] < prefix[:-1]) + 1
         self._prime_view = memoryview(arr)
 
     def __reduce__(self):
@@ -117,8 +132,23 @@ class PrimeTable:
                 f"prefix sum index must be in 0..{sp.size - 1} for this table "
                 f"(limit {self.limit}), got {k}"
             )
-        wraps = int(np.count_nonzero(sp[1 : k + 1] < sp[:k]))
-        return (wraps << 64) + int(sp[k])
+        return (int(self._wraps.searchsorted(k, "right")) << 64) + int(sp[k])
+
+    def prefix_index(self, x: int) -> int:
+        """The largest k in 0..len(self) with S_k <= x, for an integer x >= 0.
+
+        The S_k with x's quotient by 2^64 as their wrap count are one rising
+        run of ``square_prefix``; only that run is searched for x's remainder.
+        Every S_k before the run is below x and every one after it above.
+        """
+        if x < 0:
+            raise ValueError(f"prefix sums start at S_0 = 0, so x must be >= 0, got {x}")
+        quotient, rest = divmod(x, 1 << 64)
+        if quotient > self._wraps.size:
+            return len(self)
+        lo = int(self._wraps[quotient - 1]) if quotient else 0
+        hi = int(self._wraps[quotient]) if quotient < self._wraps.size else len(self) + 1
+        return lo + int(self.square_prefix[lo:hi].searchsorted(np.uint64(rest), "right")) - 1
 
 
 def _check_limit(limit: int) -> int:

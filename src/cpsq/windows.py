@@ -29,7 +29,9 @@ strictly increasing in m. Those two monotonicities drive everything here:
   and closes up the repeats inside it, for one ascending array.
 
 Prefix sums are held mod 2^64, so a difference is a window's true value
-only below 2^64; the walk states why its probes stay there.
+only below 2^64; the walk states why its probes stay there. Where a sum
+itself is compared with x (the longest window, S_m <= x), the table's
+``prefix_index`` answers from its wrap index, so nothing here counts wraps.
 
 Counts come in two flavors and both are always computed: the number of
 distinct representable values (set semantics) and the number of windows
@@ -97,24 +99,8 @@ def _covered(x: int, table: PrimeTable, name: str = "x") -> int:
     return x
 
 
-def _longest(x: int, table: PrimeTable) -> int:
-    """The largest m <= len(table) with S_m <= x, from the exact prefix sums:
-    S_m >= p_m^2, so only the sums to S_{pi(sqrt(x))} are searched."""
-    c = int(table.primes.searchsorted(min(isqrt(x), table.limit), "right"))
-    sp = table.square_prefix[: c + 1]
-    # the true S_k is 2^64 W_k + sp[k], where W_k counts the wraps
-    # sp[j] < sp[j-1] at j <= k; sp rises between wraps
-    wraps = np.flatnonzero(sp[1:] < sp[:-1]) + 1
-    quotient, rest = divmod(x, 1 << 64)
-    if quotient > wraps.size:
-        return c
-    lo = int(wraps[quotient - 1]) if quotient else 0
-    hi = int(wraps[quotient]) if quotient < wraps.size else sp.size
-    return lo + int(np.searchsorted(sp[lo:hi], np.uint64(rest), side="right")) - 1
-
-
 def _walk(x: int, table: PrimeTable) -> list[int]:
-    """c_m at index m - 1 for every length m up to _longest(x).
+    """c_m at index m - 1 for every length m with S_m <= x.
 
     A block of lengths m0..m1 bisects starts 1..c, c = c_{m0-1} (c_0 =
     pi(sqrt(x))). Its probe (n, m) is the window (n, m0 - 1) <= x plus
@@ -124,7 +110,7 @@ def _walk(x: int, table: PrimeTable) -> list[int]:
     """
     sp = table.square_prefix
     k = len(table)
-    lengths = _longest(x, table)
+    lengths = table.prefix_index(x)
     room = np.uint64((1 << 64) - 1 - x)
     counts: list[int] = []
     c = int(table.primes.searchsorted(isqrt(x), "right"))
@@ -362,7 +348,7 @@ def max_window_length(x: int, table: PrimeTable) -> int:
     x = int(x)
     if x < 1:
         raise ValueError(f"x must be a positive integer, got {x}")
-    m = _longest(x, table)
+    m = table.prefix_index(x)
     if m < len(table):
         return m
     raise ValueError(

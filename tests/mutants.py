@@ -15,9 +15,10 @@ It prints one line a mutant and exits 1 if any survives, 2 if the
 unmutated copy fails its tests. It is not part of the test suite; the
 suite checks only that every snippet still occurs exactly once.
 
-Only tests that import the package in process can kill a mutant: a test
-that starts a ``python -m cpsq.cli`` child gives it the checkout's own
-src/ on its path, not the copy.
+A test that starts a child process can kill a mutant too: the CLI and
+demo tests put on the child's path the source tree the test process
+imported the package from, which here is the mutated copy. Only
+tests/test_startup.py gives its children the checkout's own src/.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ class Mutant(NamedTuple):
 
 
 W = "tests/test_windows.py::"
+WRAP = "tests/test_wraparound.py::test_the_wrap_index_answers_as_the_exact_sums"
 
 MUTANTS = [
     # the class split
@@ -56,8 +58,8 @@ MUTANTS = [
         "windows.py",
         "return sum(distinct(r) for r in range(_CLASSES))",
         "return sum(distinct(r) for r in range(1, _CLASSES))",
-        # class 0 is empty below 5000: no window of length 24, no head = 0
-        (W + "test_split_refuses_on_the_classes_held_at_once",),
+        # class 0 fills first at the length-24 windows, S_24 = 56,387
+        (W + "test_split_counts_match_oracle", W + "test_split_refuses_on_the_classes_held_at_once"),
     ),
     Mutant(
         "windows.py",
@@ -141,6 +143,43 @@ MUTANTS = [
         "m = m[: m.size]",
         ("tests/test_wraparound.py::test_count_windows_ends_a_block_before_its_probes_wrap",),
     ),
+    # the table's wrap index
+    Mutant(
+        "primes.py",
+        'int(self._wraps.searchsorted(k, "right"))',
+        'int(self._wraps.searchsorted(k, "left"))',
+        (WRAP,),
+    ),
+    Mutant(
+        "primes.py",
+        "self._wraps = np.flatnonzero(prefix[1:] < prefix[:-1]) + 1",
+        "self._wraps = np.flatnonzero(prefix[1:] < prefix[:-1])",
+        (WRAP,),
+    ),
+    Mutant(
+        "primes.py",
+        "if quotient > self._wraps.size:",
+        "if quotient >= self._wraps.size:",
+        (WRAP,),
+    ),
+    Mutant(
+        "primes.py",
+        "if quotient < self._wraps.size else len(self) + 1",
+        "if quotient < self._wraps.size else len(self)",
+        (WRAP,),
+    ),
+    Mutant(
+        "primes.py",
+        'searchsorted(np.uint64(rest), "right")',
+        'searchsorted(np.uint64(rest), "left")',
+        (WRAP,),
+    ),
+    Mutant(
+        "primes.py",
+        "        if x < 0:\n",
+        "        if x < -1:\n",
+        (WRAP,),
+    ),
     # the tables, the reports and the renderer
     Mutant(
         "primes.py",
@@ -205,6 +244,20 @@ MUTANTS = [
     ),
     Mutant(
         "cli.py",
+        "os.dup2(null, stream.fileno())",
+        "os.dup2(null, null)",
+        # the same fault, seen from outside: a child that exits 120
+        ("tests/test_cli.py::test_an_output_that_cannot_be_written_exits_3",),
+    ),
+    Mutant(
+        "cli.py",
+        "def _cmd_count(config: CliConfig) -> _Outcome:",
+        "def _cmd_count(config: CliConfig, count_sums=count_sums) -> _Outcome:",
+        # bound at import, the handler never sees a rebinding in cpsq.cli
+        ("tests/test_cli.py::test_each_command_calls_the_library_through_the_cli_module",),
+    ),
+    Mutant(
+        "cli.py",
         "os.close(null)",
         "os.dup(null)",
         ("tests/test_cli.py::test_an_unwritable_stream_leaves_no_descriptor_open",),
@@ -252,6 +305,16 @@ EQUIVALENT = [
             (),
         ),
         "a class's heads and runs fill its buffer, whose size they were counted to",
+    ),
+    (
+        Mutant(
+            "primes.py",
+            "np.flatnonzero(prefix[1:] < prefix[:-1])",
+            "np.flatnonzero(prefix[1:] <= prefix[:-1])",
+            (),
+        ),
+        "a stored sum equals the one before it only where p_k^2 = 0 mod 2^64, "
+        "which for |p_k| <= MAX_LIMIT means p_k = 0: no table of primes holds one",
     ),
 ]
 

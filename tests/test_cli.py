@@ -615,16 +615,16 @@ def test_every_argv_gets_one_exit_code_of_the_contract(argv):
 def cli_env():
     """The environment for a ``python -m cpsq.cli`` child: no inherited
     PYTHON* setting (PYTHONUNBUFFERED would hide what buffered streams do),
-    and this checkout's package on the path."""
+    and on the path the source tree this process imported the package from,
+    so that the child runs the same code as the in-process tests."""
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    return dict(env, PYTHONPATH=src)
+    return dict(env, PYTHONPATH=str(Path(cpsq.__file__).resolve().parents[1]))
 
 
 # every output passes any pipe buffer (5.5 MB, 180 kB, 16 MB and 17 MB),
 # so closing the pipe after one line leaves the command writing into a
-# closed stdout; list 5e10 dedups 1.4M windows in bands and renders its 22
-# chunks on threads
+# closed stdout; list 5e10 dedups 1.4M windows in one piece and renders
+# them chunk by chunk
 @pytest.mark.parametrize(
     "argv",
     [

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+import cpsq
+
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
@@ -17,7 +19,9 @@ def test_all_four_demos_are_found():
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(script):
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    # the source tree this process imported the package from
+    src = str(Path(cpsq.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     result = subprocess.run(
         [sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=120

@@ -225,7 +225,7 @@ def test_write_values_unknown_format():
 
 
 # ---------------------------------------------------------------------------
-# the renderer's column stores, and the chunks rendered on threads
+# the renderer's column stores, and the chunks rendered one after another
 # ---------------------------------------------------------------------------
 
 def rendered(values, sep):

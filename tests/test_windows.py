@@ -258,9 +258,10 @@ def test_windows_past_the_second_prime_have_value_equal_to_length_mod_24(table_b
 def test_split_counts_match_oracle(table_small, split, monkeypatch):
     # at 4, 13 and 100 the windows from 2 and 3 are alone in their classes;
     # x = 4 has one window and x = 13 three, so from split 2 on the one at 4
-    # is deduped in one piece and those at 13 by class
+    # is deduped in one piece and those at 13 by class; S_24 = 56,387, so
+    # only 10^5 has windows of length 24, which fill class 0
     monkeypatch.setattr(cpsq.windows, "SPLIT_WINDOWS", split)
-    for x in (1, 3, 4, 13, 100, 5000):
+    for x in (1, 3, 4, 13, 100, 5000, 10**5):
         report = count_sums(x, table_small)
         assert report.distinct_count == len(oracle_distinct_values(x))
         assert report.multiplicity_count == len(oracle_windows(x))

@@ -1,10 +1,13 @@
 """Prefix sums past 2^64: lookups and caps on a table whose S_K wraps.
 
 sieve_primes(10**7) ends at S_K ~ 2.07e19, past 2^64 ~ 1.84e19, so its
-square_prefix wraps once. Every answer here is compared against exact
-Python-int prefix sums of the same primes.
+square_prefix wraps once; of the two synthetic MAX_LIMIT tables of the
+walk tests below, one wraps twice and one at its last sum. Every answer
+here is compared against exact Python-int prefix sums of the same primes.
 """
 
+import copy
+import pickle
 import random
 from bisect import bisect_right
 from itertools import accumulate
@@ -129,3 +132,33 @@ def test_count_windows_ends_a_block_before_its_probes_wrap():
     expected = [last_start(exact, x, m) for m in range(1, 8)]
     assert expected == [5, 3, 2, 1, 0, 0, 0]
     assert count_windows(x, table) == expected[:4]
+
+
+# the values of the two synthetic tables above: seven squares each, up to
+# 9.2e18, whose sums pass 2^64 at S_5 and S_7, and at S_7 alone
+SYNTHETIC = {
+    "falls-back": [10**9, 11 * 10**8, 12 * 10**8, 3 * 10**9, 301 * 10**7, 302 * 10**7, 303 * 10**7],
+    "block-ends": [25 * 10**7, 61 * 10**7, 93 * 10**7, 189 * 10**7, 202 * 10**7, 249 * 10**7, 25 * 10**8],
+}
+
+
+@pytest.mark.parametrize("name", ["sieve", *SYNTHETIC])
+def test_the_wrap_index_answers_as_the_exact_sums(request, name):
+    if name == "sieve":
+        table, exact = request.getfixturevalue("wrapped")
+    else:
+        table = PrimeTable(MAX_LIMIT, np.array(SYNTHETIC[name]))
+        exact = [0, *accumulate(v * v for v in SYNTHETIC[name])]
+    size = len(exact) - 1
+    wraps = [k for k in range(1, size + 1) if exact[k] >> 64 > exact[k - 1] >> 64]
+    assert len(wraps) == {"sieve": 1, "falls-back": 2, "block-ends": 1}[name]
+    near = sorted({k for w in wraps for k in range(w - 2, w + 3) if 0 <= k <= size})
+    probes = {x for k in near for x in (exact[k] - 1, exact[k], exact[k] + 1) if x >= 0}
+    probes |= {0, exact[-1], 10**30, *((1 << 64) * q for q in range(len(wraps) + 2))}
+    duplicates = [pickle.loads(pickle.dumps(table)), copy.copy(table), copy.deepcopy(table)]
+    for t in [table, *duplicates]:
+        assert [t.prefix_sum(k) for k in near] == [exact[k] for k in near]
+        for x in sorted(probes):
+            assert t.prefix_index(x) == bisect_right(exact, x) - 1, x
+        with pytest.raises(ValueError, match="x must be >= 0"):
+            t.prefix_index(-1)
