@@ -66,7 +66,6 @@ _MODULE_OF = {
             "count_windows",
             "enumerate_representations",
             "find_representations",
-            "max_window_length",
             "values_up_to",
         ),
     }.items()

@@ -23,8 +23,8 @@ Supporting checks, each exposed as an operation returning a BoundReport:
   where 40 windows stand against 39.81).
 * window cap: lengths are capped analytically by
   M(x) = floor(108^(1/3) x^(1/3) (ln x)^(-2/3)); the exact cap is the
-  largest m with S_m <= x and is always determined from the prefix sums,
-  never from the analytic formula.
+  largest m with S_m <= x, which ``PrimeTable.prefix_index`` reads off
+  the prefix sums, never from the analytic formula.
 * substitution check behind the cap: sum_{2<=n<=M} (n ln n)^2 should exceed
   x at M = M(x) (by Rosser, prime squares only grow faster); its verdict is
   recorded, not asserted.
@@ -62,7 +62,7 @@ from .primes import (
 )
 from .reference import REFERENCE_LIMIT, REFERENCE_VALUES
 from .reports import FAIL, PASS, BoundReport, compare_strict, strict_report
-from .windows import count_sums, count_windows, max_window_length, values_up_to
+from .windows import count_sums, count_windows, values_up_to
 
 #: the headline lower bound is 2 sqrt(x) / ln x, valid from here on
 LOWER_MIN_X = 289
@@ -84,8 +84,9 @@ INFORMATIONAL_LABELS = frozenset({"window-cap-substitution"})
 class WindowCap(NamedTuple):
     """Analytic and exact caps on the window length at threshold x.
 
-    ``exact_m`` satisfies S_exact_m <= x < S_{exact_m + 1}; ``analytic_m``
-    is the closed-form cap.
+    ``exact_m`` satisfies S_exact_m <= x < S_{exact_m + 1}, as
+    ``PrimeTable.prefix_index(x)`` finds it; ``analytic_m`` is the
+    closed-form cap.
     """
 
     x: int
@@ -132,15 +133,15 @@ def _covering_table(x: int, table: PrimeTable | None) -> tuple[int, PrimeTable]:
 def analytic_max_window(x: int, table: PrimeTable | None = None) -> WindowCap:
     """Both window caps at x: closed-form M(x) and the exact S_m bracket.
 
-    The exact cap is read off the prefix sums of ``table`` when it reaches
-    past x and holds M(x) primes, otherwise from a table sieved for this
-    call. Nothing downstream of the enumerator ever consumes
-    ``analytic_m``; it exists to be checked.
+    The exact cap is ``PrimeTable.prefix_index(x)`` of ``table`` when its
+    last prefix sum passes x and it holds M(x) primes, otherwise of a table
+    sieved for this call, so a longer window always witnesses the bracket.
+    Nothing downstream of the enumerator ever consumes ``analytic_m``; it
+    exists to be checked.
     """
     x = int(x)
     analytic, table = _covering_table(x, table)
-    exact = max_window_length(x, table)
-    return WindowCap(x=x, analytic_m=analytic, exact_m=exact)
+    return WindowCap(x=x, analytic_m=analytic, exact_m=table.prefix_index(x))
 
 
 def check_length_count_bound(x: int, table: PrimeTable) -> list[BoundReport]:

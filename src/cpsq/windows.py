@@ -49,17 +49,6 @@ import numpy as np
 from .errors import ResourceLimitError, brief
 from .primes import PrimeTable
 
-__all__ = [
-    "Representation",
-    "CountReport",
-    "enumerate_representations",
-    "count_windows",
-    "count_sums",
-    "find_representations",
-    "values_up_to",
-    "max_window_length",
-]
-
 
 class Representation(NamedTuple):
     """One window of consecutive primes whose squares sum to ``value``."""
@@ -337,22 +326,3 @@ def values_up_to(x: int, table: PrimeTable) -> np.ndarray:
     distinct.flags.writeable = False
     return distinct
 
-
-def max_window_length(x: int, table: PrimeTable) -> int:
-    """The largest m with S_m <= x, i.e. the longest window from p_1.
-
-    Determined exactly from the prefix sums: S_m <= x < S_{m+1}. The table
-    must extend far enough that S_K > x, otherwise there is no witness for
-    the upper neighbor and a ValueError asks for more primes.
-    """
-    x = int(x)
-    if x < 1:
-        raise ValueError(f"x must be a positive integer, got {x}")
-    m = table.prefix_index(x)
-    if m < len(table):
-        return m
-    raise ValueError(
-        f"prefix sums of this table end at S_{len(table)} = "
-        f"{table.prefix_sum(len(table))} <= {brief(x)}; "
-        f"a longer table is needed to bracket the maximal window"
-    )

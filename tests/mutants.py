@@ -15,10 +15,9 @@ It prints one line a mutant and exits 1 if any survives, 2 if the
 unmutated copy fails its tests. It is not part of the test suite; the
 suite checks only that every snippet still occurs exactly once.
 
-A test that starts a child process can kill a mutant too: the CLI and
-demo tests put on the child's path the source tree the test process
-imported the package from, which here is the mutated copy. Only
-tests/test_startup.py gives its children the checkout's own src/.
+A test that starts a child process can kill a mutant too: the CLI, demo
+and start-up tests give the child the source tree the test process
+imported the package from, which here is the mutated copy.
 """
 
 from __future__ import annotations
@@ -219,6 +218,13 @@ MUTANTS = [
     ),
     Mutant(
         "bounds.py",
+        "exact_m=table.prefix_index(x)",
+        "exact_m=table.prefix_index(x - 1)",
+        # x = S_10 exactly: the cap is 10, not 9
+        ("tests/test_bounds.py::test_window_cap_examples",),
+    ),
+    Mutant(
+        "bounds.py",
         '    if not 1 < x <= sys.float_info.max:\n        raise ValueError(f"lower',
         '    if False:\n        raise ValueError(f"lower',
         ("tests/test_bounds.py::test_lower_bound_values",),
@@ -255,6 +261,20 @@ MUTANTS = [
         "def _cmd_count(config: CliConfig, count_sums=count_sums) -> _Outcome:",
         # bound at import, the handler never sees a rebinding in cpsq.cli
         ("tests/test_cli.py::test_each_command_calls_the_library_through_the_cli_module",),
+    ),
+    Mutant(
+        "cli.py",
+        'os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")',
+        'os.environ["OPENBLAS_NUM_THREADS"] = "1"',
+        # a thread count the caller set is overridden
+        ("tests/test_startup.py::test_the_cli_limits_openblas_only_before_numpy_loads",),
+    ),
+    Mutant(
+        "cli.py",
+        'if "numpy" not in sys.modules:',
+        "if True:",
+        # set after numpy loaded, when the pool is already sized
+        ("tests/test_startup.py::test_the_cli_limits_openblas_only_before_numpy_loads",),
     ),
     Mutant(
         "cli.py",

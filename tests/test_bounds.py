@@ -84,6 +84,9 @@ def test_window_cap_examples(table_small):
     assert cap.exact_m == 12
     assert analytic_max_window(100, table_small).analytic_m == 7
     assert analytic_max_window(50, table_small).exact_m == 3
+    # x = S_10 exactly, and one below it
+    assert analytic_max_window(2397, table_small).exact_m == 10
+    assert analytic_max_window(2396, table_small).exact_m == 9
     with pytest.raises(ValueError, match="window cap needs"):
         analytic_max_window(1)
 

@@ -2,6 +2,7 @@
 
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,14 @@ def test_all_names_exactly_the_public_bindings():
         assert getattr(cpsq, name) is getattr(defining, name), name
     with pytest.raises(AttributeError, match="no attribute 'sieve'"):
         cpsq.sieve  # noqa: B018
+
+
+def test_only_the_package_lists_public_names():
+    # _MODULE_OF is the one list; no submodule keeps an __all__ of its own
+    for path in sorted(Path(cpsq.__file__).parent.glob("*.py")):
+        if path.stem != "__init__":
+            module = importlib.import_module(f"cpsq.{path.stem}")
+            assert not hasattr(module, "__all__"), path.stem
 
 
 def test_errors_defines_one_exception_type():

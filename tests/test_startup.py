@@ -8,7 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+import cpsq
+
+# the source tree this process imported the package from, so a child runs
+# the same code as the in-process tests
+SRC = Path(cpsq.__file__).resolve().parents[1]
 
 
 def fresh(code: str, **env: str) -> dict:

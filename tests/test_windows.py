@@ -18,11 +18,11 @@ from cpsq import (
     REFERENCE_VALUES,
     Representation,
     ResourceLimitError,
+    analytic_max_window,
     count_sums,
     count_windows,
     enumerate_representations,
     find_representations,
-    max_window_length,
     prime_count,
     sieve_primes,
     values_up_to,
@@ -137,16 +137,10 @@ def test_count_windows_equals_the_sequential_walk(table_big, x):
 
 
 def test_max_window_length(table_small):
-    assert max_window_length(50, table_small) == 3  # S_3 = 38 <= 50 < S_4 = 87
-    assert max_window_length(5000, table_small) == 12
-    assert max_window_length(2397, table_small) == 10  # S_10 exactly
-    assert max_window_length(4, table_small) == 1
-    assert max_window_length(3, table_small) == 0
-
-
-def test_max_window_length_needs_a_witness(table_small):
-    with pytest.raises(ValueError, match="longer table"):
-        max_window_length(10**30, table_small)
+    # S_3 = 38 <= 50 < S_4 = 87; 2397 is S_10 exactly
+    for x, m in [(50, 3), (5000, 12), (2397, 10), (4, 1), (3, 0)]:
+        assert table_small.prefix_index(x) == m, x
+        assert analytic_max_window(x, table_small).exact_m == m, x
 
 
 def test_coverage_guard_names_the_needed_limit():
@@ -190,7 +184,7 @@ def test_count_report_internal_consistency(table_small, x):
     assert all(a >= b for a, b in zip(counts, counts[1:]))  # longer is rarer
     if report.max_length_seen:
         assert report.max_length_seen == max(report.per_length)
-        assert report.max_length_seen == max_window_length(x, table_small)
+        assert report.max_length_seen == table_small.prefix_index(x)
 
 
 @given(st.integers(min_value=1, max_value=50_000))

@@ -21,7 +21,6 @@ from cpsq import (
     PrimeTable,
     count_windows,
     find_representations,
-    max_window_length,
     sieve_primes,
 )
 from cpsq.primes import MAX_LIMIT
@@ -97,9 +96,9 @@ def test_count_windows_equals_the_sequential_walk_to_1e14(wrapped, x):
 
 def test_max_window_length_past_the_wrap(wrapped):
     table, exact = wrapped
-    assert max_window_length(10**19, table) == 524136
+    assert table.prefix_index(10**19) == 524136
     for x in (1 << 64, 2 * 10**19, exact[-2], exact[-2] - 1, exact[-1] - 1):
-        assert max_window_length(x, table) == bisect_right(exact, x) - 1, x
+        assert table.prefix_index(x) == bisect_right(exact, x) - 1, x
     assert table.prefix_sum(len(table)) == exact[-1]
 
 
