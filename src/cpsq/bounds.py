@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 import sys
 from math import fsum, isqrt, log
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .errors import ResourceLimitError, brief
 from .primes import (
@@ -342,7 +342,7 @@ _WEIGHTED_POINTS = (4, 5, 10, 100, 10**3, 10**4)
 _PYRAMID_POINTS = (1, 2, 3, 10, 100, 10**3)
 
 
-def full_verification(grid: list[int] | None = None) -> list[BoundReport]:
+def full_verification(grid: Sequence[int] | None = None) -> list[BoundReport]:
     """The whole battery: headline bounds on a grid plus every lemma check.
 
     Used by the CLI ``verify`` command. The grid defaults to 289 and the

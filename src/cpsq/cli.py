@@ -145,17 +145,24 @@ _Outcome = tuple[int, "str | np.ndarray"]
 
 
 def _cmd_count(config: CliConfig) -> _Outcome:
+    """JSON and CSV render the CountReport; the three text lines, one a
+    count mode, are written here."""
     x = config.x_or_target
     table = provision_table(isqrt(x), config)
-    if config.format == "text" and config.count_mode == "multiplicity":
+    if config.format != "text":
+        return 0, serialize_report([count_sums(x, table)], config.format)
+    if config.count_mode == "multiplicity":
         # the number of windows needs the walk only, no dedup
         return 0, f"x={x} multiplicity={sum(count_windows(x, table))}"
     report = count_sums(x, table)
-    if config.format == "text" and config.count_mode == "distinct":
-        text = f"x={report.x} distinct={report.distinct_count}"
-    else:
-        text = serialize_report([report], config.format)
-    return 0, text
+    if config.count_mode == "distinct":
+        return 0, f"x={x} distinct={report.distinct_count}"
+    lengths = ";".join(f"{m}:{c}" for m, c in report.per_length.items())
+    return 0, (
+        f"x={x} distinct={report.distinct_count} "
+        f"multiplicity={report.multiplicity_count} "
+        f"max_length={report.max_length_seen} per_length={lengths}"
+    )
 
 
 def _cmd_list(config: CliConfig) -> _Outcome:
@@ -186,8 +193,7 @@ def _cmd_maxlen(config: CliConfig) -> _Outcome:
 
 
 def _cmd_verify(config: CliConfig) -> _Outcome:
-    grid = list(config.grid) if config.grid else None
-    reports = full_verification(grid)
+    reports = full_verification(config.grid)
     failed = [
         r
         for r in reports

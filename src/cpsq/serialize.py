@@ -6,6 +6,12 @@ record. Text and CSV are for eyes and spreadsheets; reals are shortened to
 6 significant digits there. All three forms are deterministic: fields stay
 in declaration order and mappings keep their (ascending) insertion order.
 
+A record is any instance of a ``typing.NamedTuple`` class. Only a
+``BoundReport`` has a text line of its own; every other record is one
+``name=value`` line. So this module imports no record module but
+``reports``, and a record defined, changed or deleted elsewhere needs no
+edit here.
+
 Value lists (``write_values``) skip the per-value Python objects: a sorted
 uint64 array is turned into ASCII bytes by numpy, 2^16 values at a time,
 storing each 4-digit group straight into its place in the output. Each
@@ -16,18 +22,13 @@ scratch and the output buffer reused from chunk to chunk.
 from __future__ import annotations
 
 import io
-from typing import Any, BinaryIO, Iterable, Sequence
+from typing import Any, BinaryIO, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .primes import DusartCheck
 from .reports import BoundReport
-from .windows import CountReport, Representation
-from .bounds import WindowCap
 
 FORMATS = ("text", "json", "csv")
-
-Record = BoundReport | CountReport | Representation | WindowCap | DusartCheck
 
 #: values rendered per write by write_values
 VALUE_CHUNK = 1 << 16
@@ -75,18 +76,19 @@ def _plain(value: Any) -> Any:
     return value
 
 
-def record_to_dict(record: Record) -> dict[str, Any]:
-    """Field-order-preserving dict with JSON-safe keys.
+def record_to_dict(record: NamedTuple) -> dict[str, Any]:
+    """Field-order-preserving dict with JSON-safe keys; a TypeError for
+    anything but a named-tuple instance.
 
     Shallow: the records hold only scalars and one int -> int mapping,
     which ``_plain`` copies with string keys, so nothing needs a deep copy.
     """
-    if not isinstance(record, Record):
+    if not (isinstance(record, tuple) and hasattr(record, "_fields")):
         raise TypeError(f"not a report record: {record!r}")
     return {name: _plain(value) for name, value in zip(record._fields, record)}
 
 
-def record_from_dict(cls: type, data: dict[str, Any]) -> Record:
+def record_from_dict(cls: type, data: dict[str, Any]) -> NamedTuple:
     """Inverse of record_to_dict for a known record class."""
     kwargs = dict(data)
     for name in cls._fields:
@@ -108,13 +110,13 @@ def _cell(value: Any) -> str:
     return str(value)
 
 
-def to_json(records: Iterable[Record]) -> str:
+def to_json(records: Iterable[NamedTuple]) -> str:
     import json  # here, so that listing and counting never load it
 
     return json.dumps([record_to_dict(r) for r in records], indent=2)
 
 
-def to_csv(records: Sequence[Record]) -> str:
+def to_csv(records: Sequence[NamedTuple]) -> str:
     import csv  # here, so that listing and counting never load it
 
     if not records:
@@ -130,7 +132,7 @@ def to_csv(records: Sequence[Record]) -> str:
     return out.getvalue().removesuffix("\n")  # no newline after the last row
 
 
-def _text_line(record: Record) -> str:
+def _text_line(record: NamedTuple) -> str:
     if isinstance(record, BoundReport):
         flag = "" if record.applicable else " (not applicable)"
         obs = "" if record.observed is None else f" observed={record.observed}"
@@ -139,23 +141,16 @@ def _text_line(record: Record) -> str:
             f"{record.lhs:.6g} vs {record.rhs:.6g}"
             f"{obs} -> {record.verdict}{flag}"
         )
-    if isinstance(record, CountReport):
-        lengths = ";".join(f"{m}:{c}" for m, c in record.per_length.items())
-        return (
-            f"x={record.x} distinct={record.distinct_count} "
-            f"multiplicity={record.multiplicity_count} "
-            f"max_length={record.max_length_seen} per_length={lengths}"
-        )
     # any other record: name=value a field, each value a CSV cell
     # (record_to_dict refuses a non-record)
     return " ".join(f"{k}={_cell(v)}" for k, v in record_to_dict(record).items())
 
 
-def to_text(records: Iterable[Record]) -> str:
+def to_text(records: Iterable[NamedTuple]) -> str:
     return "\n".join(_text_line(r) for r in records)
 
 
-def serialize_report(records: Sequence[Record], fmt: str) -> str:
+def serialize_report(records: Sequence[NamedTuple], fmt: str) -> str:
     """Render records in one of FORMATS; empty input gives '' / '[]'."""
     if fmt == "json":
         return to_json(records)

@@ -41,6 +41,7 @@ class Mutant(NamedTuple):
 
 
 W = "tests/test_windows.py::"
+DIGEST = "tests/test_golden_outputs.py::test_output_matches_its_pinned_digest"
 WRAP = "tests/test_wraparound.py::test_the_wrap_index_answers_as_the_exact_sums"
 
 MUTANTS = [
@@ -217,6 +218,13 @@ MUTANTS = [
         ("tests/test_serialize.py::test_each_chunk_renders_into_the_buffer_the_chunk_before_was_written_from",),
     ),
     Mutant(
+        "serialize.py",
+        'if not (isinstance(record, tuple) and hasattr(record, "_fields")):',
+        "if not isinstance(record, tuple):",
+        # a plain tuple has no field names to render by
+        ("tests/test_serialize.py::test_record_to_dict_rejects_non_records",),
+    ),
+    Mutant(
         "bounds.py",
         "exact_m=table.prefix_index(x)",
         "exact_m=table.prefix_index(x - 1)",
@@ -261,6 +269,19 @@ MUTANTS = [
         "def _cmd_count(config: CliConfig, count_sums=count_sums) -> _Outcome:",
         # bound at import, the handler never sees a rebinding in cpsq.cli
         ("tests/test_cli.py::test_each_command_calls_the_library_through_the_cli_module",),
+    ),
+    Mutant(
+        "cli.py",
+        'if config.format != "text":\n        return 0, serialize_report([count_sums(',
+        'if config.format == "json":\n        return 0, serialize_report([count_sums(',
+        # CSV falls through to the text lines
+        (DIGEST + "[count 100 --format csv]",),
+    ),
+    Mutant(
+        "cli.py",
+        'f"max_length={report.max_length_seen} per_length={lengths}"',
+        'f"per_length={lengths}"',
+        (DIGEST + "[count 1000000000000]",),
     ),
     Mutant(
         "cli.py",
@@ -325,6 +346,16 @@ EQUIVALENT = [
             (),
         ),
         "a class's heads and runs fill its buffer, whose size they were counted to",
+    ),
+    (
+        Mutant(
+            "serialize.py",
+            'if not (isinstance(record, tuple) and hasattr(record, "_fields")):',
+            'if not hasattr(record, "_fields"):',
+            (),
+        ),
+        "of what it lets through, only a record class is no tuple, and "
+        "zip(record._fields, record) raises a TypeError when it iterates a class",
     ),
     (
         Mutant(

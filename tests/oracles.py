@@ -9,7 +9,11 @@ The scalar bound checks get references of another kind: the plain first
 forms of ``compare_strict``, ``check_dusart`` and ``check_rosser``, with
 their keyword-built records, so that faster forms can be held to the same
 arithmetic bit for bit. The two checks that sum (n ln n)^2 keep their
-first forms too, each summing a fresh generator per series.
+first forms too, each summing a fresh generator per series; the window
+cap M(x) is this module's own copy of the closed form, S_M a sum of
+squares over primes found by trial division, and the square pyramid a
+direct sum. From the package this module takes record classes, verdict
+strings and constants only.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import json
 import math
 from math import fsum, isqrt, log
 
-from cpsq.bounds import _covering_table, square_pyramid
 from cpsq.primes import DUSART_LOWER_MIN_N, DUSART_UPPER_FACTOR, DusartCheck
 from cpsq.reports import FAIL, INCONCLUSIVE, PASS, BoundReport
 
@@ -37,6 +40,21 @@ def is_prime(n: int) -> bool:
 def trial_division_primes(limit: int) -> list[int]:
     """All primes <= limit, each certified by trial division."""
     return [n for n in range(2, limit + 1) if is_prime(n)]
+
+
+#: the first primes, in order; first_primes extends it by trial division
+_FIRST_PRIMES: list[int] = []
+
+
+def first_primes(count: int) -> list[int]:
+    """The first ``count`` primes. Each is found once by trial division:
+    the list is kept, and a later call that asks for more extends it."""
+    n = _FIRST_PRIMES[-1] + 1 if _FIRST_PRIMES else 2
+    while len(_FIRST_PRIMES) < count:
+        if is_prime(n):
+            _FIRST_PRIMES.append(n)
+        n += 1
+    return _FIRST_PRIMES[:count]
 
 
 def prime_count_naive(n: int) -> int:
@@ -169,16 +187,22 @@ def reference_check_rosser(n: int, table) -> BoundReport:
 
 
 def reference_check_window_cap_substitution(x: int, table=None) -> BoundReport:
-    """sum_{2<=n<=M(x)} (n ln n)^2 against x, the sum taken term by term."""
+    """sum_{2<=n<=M(x)} (n ln n)^2 against x, the sum taken term by term.
+
+    M(x) = floor(108^(1/3) x^(1/3) / (ln x)^(2/3)), in the package's float
+    operations and order, so that the two agree bit for bit. ``table`` is
+    taken for the package's signature and not read: S_M is summed over
+    this module's own primes.
+    """
     x = int(x)
-    m_cap, table = _covering_table(x, table)
+    m_cap = math.floor(108 ** (1 / 3) * float(x) ** (1 / 3) / log(x) ** (2 / 3))
     substituted = fsum((n * log(n)) ** 2 for n in range(2, m_cap + 1))
     return BoundReport(
         label="window-cap-substitution",
         x_or_m=x,
         lhs=float(x),
         rhs=substituted,
-        observed=table.prefix_sum(m_cap),
+        observed=sum(p * p for p in first_primes(m_cap)),
         applicable=True,
         verdict=reference_compare_strict(float(x), substituted),
     )
@@ -192,7 +216,7 @@ def reference_check_weighted_square(m_cap: int) -> BoundReport:
     log_m = log(m_cap)
     full = fsum((n * log(n)) ** 2 for n in range(2, m_cap + 1))
     tail = fsum((n * log(n)) ** 2 for n in range(cut, m_cap + 1))
-    sq_tail = square_pyramid(m_cap) - square_pyramid(cut - 1)
+    sq_tail = sum(n * n for n in range(cut, m_cap + 1))
     halved = (0.5 * log_m) ** 2 * sq_tail
     rhs = m_cap**3 * log_m**2 / 12.0
     links_hold = (

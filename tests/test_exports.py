@@ -1,5 +1,7 @@
-"""The package's public surface: what `cpsq` exports and which exceptions it defines."""
+"""The package's public surface: what `cpsq` exports, which exceptions it
+defines, and what the test oracles may take from it."""
 
+import ast
 import importlib
 import inspect
 from pathlib import Path
@@ -40,3 +42,19 @@ def test_errors_defines_one_exception_type():
         and value.__module__ == cpsq.errors.__name__
     ]
     assert defined == [cpsq.errors.ResourceLimitError]
+
+
+def test_the_oracles_take_only_records_verdicts_and_constants():
+    # an oracle that calls the package's code cannot catch a bug in that code
+    source = Path(__file__).with_name("oracles.py").read_text(encoding="utf-8")
+    taken = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            assert all(alias.name.split(".")[0] != "cpsq" for alias in node.names), ast.unparse(node)
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "cpsq":
+            module = importlib.import_module(node.module)
+            taken += [(f"{node.module}.{a.name}", getattr(module, a.name)) for a in node.names]
+    assert taken
+    for name, value in taken:
+        record = inspect.isclass(value) and issubclass(value, tuple) and hasattr(value, "_fields")
+        assert record or isinstance(value, (str, int, float)), name

@@ -22,6 +22,7 @@ def test_each_named_test_exists():
         assert mutant.tests
         for test in mutant.tests:
             path, name = test.split("::")
+            name = name.split("[")[0]  # a parametrized test: its function
             assert f"\ndef {name}(" in Path(ROOT, path).read_text(encoding="utf-8"), test
 
 

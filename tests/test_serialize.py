@@ -3,6 +3,7 @@
 import io
 import json
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -154,6 +155,31 @@ def test_text_dusart_line_renders_each_value_as_a_csv_cell():
     assert to_text([SAMPLE_DUSART]) == (
         "n=17 lower_value=6.00025 pi_value=7 upper_value=7.53152 "
         "lower_applicable=true passed=true"
+    )
+
+
+class Probe(NamedTuple):
+    """A record type the package does not define."""
+
+    name: str
+    ratio: float
+    counts: dict
+
+
+def test_any_named_tuple_renders_by_its_fields():
+    probe = Probe(name="probe", ratio=0.1234567, counts={1: 2, 3: 4})
+    assert serialize_report([probe], "text") == "name=probe ratio=0.123457 counts=1:2;3:4"
+    assert serialize_report([probe], "csv") == "name,ratio,counts\nprobe,0.123457,1:2;3:4"
+    assert json.loads(serialize_report([probe], "json")) == [
+        {"name": "probe", "ratio": 0.1234567, "counts": {"1": 2, "3": 4}}
+    ]
+
+
+def test_the_library_writes_a_count_report_as_name_value_text(table_small):
+    # cpsq count writes its own text lines; the library has none for a CountReport
+    report = count_sums(50, table_small)
+    assert serialize_report([report], "text") == (
+        "x=50 distinct_count=7 multiplicity_count=7 per_length=1:4;2:2;3:1 max_length_seen=3"
     )
 
 

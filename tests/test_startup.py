@@ -66,6 +66,16 @@ def test_the_library_set_up_loads_only_what_sieving_needs():
         assert f"cpsq.{module}" not in loaded
 
 
+def test_the_renderer_loads_no_record_module_but_reports():
+    # a record is any named tuple, so rendering names no module that defines one
+    loaded = fresh(
+        "import json, sys\n"
+        "import cpsq.serialize\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('cpsq.'))))\n"
+    )
+    assert loaded == ["cpsq.reports", "cpsq.serialize"]
+
+
 def test_neither_the_cli_nor_the_sieve_loads_dataclasses():
     # the records are named tuples, so no import of either pays for dataclasses
     for module in ("cpsq.cli", "cpsq.primes"):
