@@ -40,7 +40,7 @@ for e in range(3, 11):
 
 print("\nwindow-length caps (analytic formula vs the exact prefix-sum cap)")
 for x in (100, 5000, 10**6, 10**9):
-    cap = analytic_max_window(x, table)
+    cap = analytic_max_window(x)
     print(f"  x={x:<12} analytic M={cap.analytic_m:<5} exact M={cap.exact_m}")
 
 print("\nper-length counting chain at x = 10^5 "

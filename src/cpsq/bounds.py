@@ -24,10 +24,12 @@ Supporting checks, each exposed as an operation returning a BoundReport:
 * window cap: lengths are capped analytically by
   M(x) = floor(108^(1/3) x^(1/3) (ln x)^(-2/3)); the exact cap is the
   largest m with S_m <= x, which ``PrimeTable.prefix_index`` reads off
-  the prefix sums, never from the analytic formula.
+  the prefix sums, never from the analytic formula. ``analytic_max_window``,
+  behind ``cpsq maxlen``, sieves the table it reads.
 * substitution check behind the cap: sum_{2<=n<=M} (n ln n)^2 should exceed
   x at M = M(x) (by Rosser, prime squares only grow faster); its verdict is
-  recorded, not asserted.
+  recorded, not asserted. It reads S_M(x) from the table it is given,
+  which ``full_verification``, behind ``cpsq verify``, sieves.
 * partial sums: sum_{1<=m<=M} m^(-alpha) < (M^(1-alpha) - alpha)/(1 - alpha)
   for 0 < alpha < 1 and M >= 2 (equality at M = 1).
 * weighted squares: sum_{2<=n<=M} (n ln n)^2 >= M^3 (ln M)^2 / 12 for
@@ -109,39 +111,39 @@ def upper_bound(x: int, *, sharp: bool = False) -> float:
     return coeff * float(x) ** (2 / 3) / log(x) ** (4 / 3)
 
 
-def _covering_table(x: int, table: PrimeTable | None) -> tuple[int, PrimeTable]:
-    """M(x), and ``table`` if it holds M(x) primes and S_K > x, else a table
-    sieved for this call, four times larger each try. The first try is the
-    least L >= 17 with L / ln L >= M(x), which holds M(x) primes by Dusart,
-    so a huge x is refused before anything is allocated."""
+def _window_cap(x: int) -> int:
+    """M(x) = floor(108^(1/3) x^(1/3) (ln x)^(-2/3)) for 2 <= x <= MAX_LIMIT^3."""
     if x < 2:
         raise ValueError(f"window cap needs x >= 2, got {x}")
     if x > MAX_LIMIT**3:
-        # L >= M ln M > x^(1/3) > MAX_LIMIT there, and float(x) may overflow
+        # L >= M ln M > x^(1/3) > MAX_LIMIT there, float(x) may overflow, and
+        # once M ln L passes 2^53 the climb to L can stall in rounding
         raise ResourceLimitError(f"the window cap at x={brief(x)} needs primes past {MAX_LIMIT}")
-    need = math.floor(CAP_COEFF * float(x) ** (1 / 3) / log(x) ** (2 / 3))
-    # L <- ceil(M ln L) climbs from below to the least such L
-    limit = DUSART_LOWER_MIN_N
-    while limit / log(limit) < need:
-        limit = math.ceil(need * log(limit))
-    while table is None or len(table) < need or table.prefix_sum(len(table)) <= x:
-        table = sieve_primes(limit)
-        limit *= 4
-    return need, table
+    return math.floor(CAP_COEFF * float(x) ** (1 / 3) / log(x) ** (2 / 3))
 
 
-def analytic_max_window(x: int, table: PrimeTable | None = None) -> WindowCap:
+def analytic_max_window(x: int) -> WindowCap:
     """Both window caps at x: closed-form M(x) and the exact S_m bracket.
 
-    The exact cap is ``PrimeTable.prefix_index(x)`` of ``table`` when its
-    last prefix sum passes x and it holds M(x) primes, otherwise of a table
-    sieved for this call, so a longer window always witnesses the bracket.
+    This entry point sieves its own table, four times larger each try until
+    its last prefix sum passes x, so that a longer window always witnesses
+    the bracket; the exact cap is that table's ``prefix_index(x)``. The
+    first try is the least L >= 17 with L / ln L >= M(x), which holds M(x)
+    primes by Dusart, so a huge x is refused before anything is allocated.
     Nothing downstream of the enumerator ever consumes ``analytic_m``; it
     exists to be checked.
     """
     x = int(x)
-    analytic, table = _covering_table(x, table)
-    return WindowCap(x=x, analytic_m=analytic, exact_m=table.prefix_index(x))
+    need = _window_cap(x)
+    # L <- ceil(M ln L) climbs from below to the least such L
+    limit = DUSART_LOWER_MIN_N
+    while limit / log(limit) < need:
+        limit = math.ceil(need * log(limit))
+    table = sieve_primes(limit)
+    while table.prefix_sum(len(table)) <= x:
+        limit *= 4
+        table = sieve_primes(limit)
+    return WindowCap(x=x, analytic_m=need, exact_m=table.prefix_index(x))
 
 
 def check_length_count_bound(x: int, table: PrimeTable) -> list[BoundReport]:
@@ -183,9 +185,7 @@ def _weighted_square_terms(m_cap: int) -> list[float]:
     return [(n * log(n)) ** 2 for n in range(2, m_cap + 1)]
 
 
-def check_window_cap_substitution(
-    x: int, table: PrimeTable | None = None
-) -> BoundReport:
+def check_window_cap_substitution(x: int, table: PrimeTable) -> BoundReport:
     """Record whether sum_{2<=n<=M(x)} (n ln n)^2 exceeds x.
 
     This is the Rosser-side consequence that makes the analytic cap safe:
@@ -195,9 +195,14 @@ def check_window_cap_substitution(
     function under the floor has its minimum 5.84 at x = e^2, so M(x) >= 5
     for every x >= 2. The verdict is informational: consumers report it but
     do not gate on it.
+
+    S_M(x) is read from ``table`` and nothing is sieved here, so a table of
+    fewer than M(x) primes raises ValueError. ``full_verification``, behind
+    ``cpsq verify``, sieves the table it passes, which holds M(x) primes at
+    every grid point.
     """
     x = int(x)
-    m_cap, table = _covering_table(x, table)
+    m_cap = _window_cap(x)
     substituted = fsum(_weighted_square_terms(m_cap))
     return strict_report("window-cap-substitution", x, x, substituted, table.prefix_sum(m_cap))
 

@@ -55,7 +55,7 @@ from .primes import PrimeTable, sieve_primes
 # no command reads or writes a table file; perfbench/spans.py wraps these two names
 from .primes import load_table, save_table  # noqa: F401
 from .reports import FAIL, INCONCLUSIVE, PASS
-from .serialize import FORMATS, serialize_report, write_values
+from .serialize import FORMATS, cell, serialize_report, write_values
 from .windows import (
     Representation,
     count_sums,
@@ -157,11 +157,10 @@ def _cmd_count(config: CliConfig) -> _Outcome:
     report = count_sums(x, table)
     if config.count_mode == "distinct":
         return 0, f"x={x} distinct={report.distinct_count}"
-    lengths = ";".join(f"{m}:{c}" for m, c in report.per_length.items())
     return 0, (
         f"x={x} distinct={report.distinct_count} "
         f"multiplicity={report.multiplicity_count} "
-        f"max_length={report.max_length_seen} per_length={lengths}"
+        f"max_length={report.max_length_seen} per_length={cell(report.per_length)}"
     )
 
 

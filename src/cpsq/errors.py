@@ -12,8 +12,10 @@ import math
 
 class ResourceLimitError(RuntimeError):
     """A request was refused before it could exhaust memory: a sieve limit
-    past primes.MAX_LIMIT, or a dedup whose estimated value arrays pass
-    windows.MAX_DEDUP_BYTES. The message names the limit or the estimate.
+    past primes.MAX_LIMIT, a window cap past MAX_LIMIT^3 (whose M(x) needs
+    primes past MAX_LIMIT, as in ``cpsq maxlen 1e400``), or a dedup whose
+    estimated value arrays pass windows.MAX_DEDUP_BYTES. The message names
+    the limit or the estimate.
     """
 
 

@@ -97,8 +97,9 @@ def record_from_dict(cls: type, data: dict[str, Any]) -> NamedTuple:
     return cls(**kwargs)
 
 
-def _cell(value: Any) -> str:
-    """One CSV cell: %.6g reals, lowercase booleans, ; for mappings."""
+def cell(value: Any) -> str:
+    """One CSV cell or text value: %.6g reals, lowercase booleans, and a
+    mapping as ``k:v;k:v``, the one place that form is written."""
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -128,7 +129,7 @@ def to_csv(records: Sequence[NamedTuple]) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(record_to_dict(records[0]))  # the field names; refuses a non-record
     for r in records:
-        writer.writerow([_cell(value) for value in r])
+        writer.writerow([cell(value) for value in r])
     return out.getvalue().removesuffix("\n")  # no newline after the last row
 
 
@@ -143,7 +144,7 @@ def _text_line(record: NamedTuple) -> str:
         )
     # any other record: name=value a field, each value a CSV cell
     # (record_to_dict refuses a non-record)
-    return " ".join(f"{k}={_cell(v)}" for k, v in record_to_dict(record).items())
+    return " ".join(f"{k}={cell(v)}" for k, v in record_to_dict(record).items())
 
 
 def to_text(records: Iterable[NamedTuple]) -> str:

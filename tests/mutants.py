@@ -183,6 +183,18 @@ MUTANTS = [
     # the tables, the reports and the renderer
     Mutant(
         "primes.py",
+        "if primes[0] != 2 and limit >= 2:",
+        "if False:  # the p_1 = 2 check deleted",
+        ("tests/test_primes.py::test_cache_rejects_primes_that_do_not_start_at_2",),
+    ),
+    Mutant(
+        "primes.py",
+        "if primes.size > 1 and np.any(primes[1:] % 2 == 0):",
+        "if False:  # the even-entry check deleted",
+        ("tests/test_primes.py::test_cache_rejects_an_even_entry_past_2",),
+    ),
+    Mutant(
+        "primes.py",
         "if not 0 <= k < sp.size:",
         "if not k < sp.size:",
         ("tests/test_primes.py::test_prefix_sum_outside_the_table_names_the_range",),
@@ -230,6 +242,35 @@ MUTANTS = [
         "exact_m=table.prefix_index(x - 1)",
         # x = S_10 exactly: the cap is 10, not 9
         ("tests/test_bounds.py::test_window_cap_examples",),
+    ),
+    # the window cap
+    Mutant(
+        "bounds.py",
+        '    if x < 2:\n        raise ValueError(f"window cap needs',
+        '    if x < 1:\n        raise ValueError(f"window cap needs',
+        # x = 1 then dies in log(1) = 0, not with the refusal
+        ("tests/test_bounds.py::test_window_cap_examples",),
+    ),
+    Mutant(
+        "bounds.py",
+        "if x > MAX_LIMIT**3:",
+        "if x > MAX_LIMIT**3 + 1:",
+        # MAX_LIMIT^3 + 1 reaches the sieve; with the refusal deleted the
+        # test would hang at 10^300, where L <- ceil(M ln L) never settles
+        ("tests/test_bounds.py::test_window_cap_needing_primes_past_max_limit_is_refused",),
+    ),
+    Mutant(
+        "bounds.py",
+        "table.prefix_sum(m_cap)",
+        "table.prefix_sum(m_cap - 1)",
+        # S_18 for S_19 = 24966 at x = 5000
+        ("tests/test_bounds.py::test_substitution_at_5000",),
+    ),
+    Mutant(
+        "bounds.py",
+        "if m_cap < 0:",
+        "if False:  # the negative-M check deleted",
+        ("tests/test_bounds.py::test_square_pyramid_refuses_a_negative_m",),
     ),
     Mutant(
         "bounds.py",
@@ -279,8 +320,8 @@ MUTANTS = [
     ),
     Mutant(
         "cli.py",
-        'f"max_length={report.max_length_seen} per_length={lengths}"',
-        'f"per_length={lengths}"',
+        "max_length={report.max_length_seen} per_length=",
+        "per_length=",
         (DIGEST + "[count 1000000000000]",),
     ),
     Mutant(
@@ -356,6 +397,16 @@ EQUIVALENT = [
         ),
         "of what it lets through, only a record class is no tuple, and "
         "zip(record._fields, record) raises a TypeError when it iterates a class",
+    ),
+    (
+        Mutant(
+            "bounds.py",
+            "while table.prefix_sum(len(table)) <= x:",
+            "while table.prefix_sum(len(table)) < x:",
+            (),
+        ),
+        "it keeps a table whose last sum S_K equals x, and prefix_index(x) "
+        "is K there as well: S_(K+1) > x, so K is still the exact cap",
     ),
     (
         Mutant(

@@ -186,7 +186,7 @@ def reference_check_rosser(n: int, table) -> BoundReport:
     )
 
 
-def reference_check_window_cap_substitution(x: int, table=None) -> BoundReport:
+def reference_check_window_cap_substitution(x: int, table) -> BoundReport:
     """sum_{2<=n<=M(x)} (n ln n)^2 against x, the sum taken term by term.
 
     M(x) = floor(108^(1/3) x^(1/3) / (ln x)^(2/3)), in the package's float

@@ -288,7 +288,7 @@ def test_criterion_8_decomposition(table_big, announce):
         assert count_windows(x, table_big) == expected, f"x={x}"
         report = count_sums(x, table_big)
         assert report.multiplicity_count == sum(expected), f"x={x}"
-        exact_m = analytic_max_window(x, table_big).exact_m
+        exact_m = analytic_max_window(x).exact_m
         assert report.max_length_seen == exact_m == len(expected), f"x={x}"
     announce(
         8,

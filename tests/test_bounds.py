@@ -1,7 +1,9 @@
 """Headline bounds, per-length caps, window caps, and the lemma checks."""
 
+import ast
 import math
 from math import isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -78,15 +80,15 @@ def test_sharp_constant_sits_just_below_the_rounded_one():
 # window caps
 # ---------------------------------------------------------------------------
 
-def test_window_cap_examples(table_small):
-    cap = analytic_max_window(5000, table_small)
+def test_window_cap_examples():
+    cap = analytic_max_window(5000)
     assert cap.analytic_m == 19
     assert cap.exact_m == 12
-    assert analytic_max_window(100, table_small).analytic_m == 7
-    assert analytic_max_window(50, table_small).exact_m == 3
+    assert analytic_max_window(100).analytic_m == 7
+    assert analytic_max_window(50).exact_m == 3
     # x = S_10 exactly, and one below it
-    assert analytic_max_window(2397, table_small).exact_m == 10
-    assert analytic_max_window(2396, table_small).exact_m == 9
+    assert analytic_max_window(2397).exact_m == 10
+    assert analytic_max_window(2396).exact_m == 9
     with pytest.raises(ValueError, match="window cap needs"):
         analytic_max_window(1)
 
@@ -132,19 +134,36 @@ def test_window_cap_needing_primes_past_max_limit_is_refused(monkeypatch):
     assert len(tried) == 2 and min(tried) > MAX_LIMIT
 
 
+def test_only_the_command_entry_points_sieve():
+    # every check below them reads the table it is given
+    callers = set()
+    for path in sorted(Path(cpsq.bounds.__file__).parent.glob("*.py")):
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(function, ast.FunctionDef) and any(
+                isinstance(node, ast.Call) and getattr(node.func, "id", None) == "sieve_primes"
+                for node in ast.walk(function)
+            ):
+                callers.add(f"{path.stem}.{function.name}")
+    assert callers == {
+        "cli.provision_table",
+        "bounds.full_verification",
+        "bounds.analytic_max_window",
+    }
+
+
 @given(st.integers(min_value=2, max_value=10**7))
 def test_exact_cap_brackets_x(table_small, x):
-    cap = analytic_max_window(x, table_small)
+    cap = analytic_max_window(x)
     sp = table_small.square_prefix
     assert sp[cap.exact_m] <= x < sp[cap.exact_m + 1]
     assert cap.analytic_m >= cap.exact_m
 
 
-def test_analytic_cap_never_drops_below_5(table_small):
+def test_analytic_cap_never_drops_below_5():
     # floor(108^(1/3) x^(1/3) / (ln x)^(2/3)) bottoms out at 5 near x = 7,
     # which is what keeps the substitution check's M >= 4 guard unreachable
     assert min(
-        analytic_max_window(x, table_small).analytic_m for x in range(2, 10_001)
+        analytic_max_window(x).analytic_m for x in range(2, 10_001)
     ) == 5
 
 
@@ -180,7 +199,7 @@ def test_length_count_bound_whole_grid(table_big):
     """Every (x, m) with x a power of ten up to 10^6 and m up to the cap."""
     for x in (10**3, 10**4, 10**5, 10**6):
         reports = check_length_count_bound(x, table_big)
-        assert len(reports) == analytic_max_window(x, table_big).exact_m
+        assert len(reports) == analytic_max_window(x).exact_m
         for m, r in enumerate(reports, 1):
             assert r.label == f"length-count-bound[m={m}]"
             assert r.verdict == PASS, f"x={x} m={m}: {r}"
@@ -340,6 +359,11 @@ def test_square_pyramid_closed_form(m_cap):
     assert square_pyramid(m_cap) == sum(n * n for n in range(1, m_cap + 1))
 
 
+def test_square_pyramid_refuses_a_negative_m():
+    with pytest.raises(ValueError, match="M must be >= 0, got -1"):
+        square_pyramid(-1)
+
+
 def test_check_pyramid_is_an_equality_report():
     r = check_pyramid(1000)
     assert r.lhs == r.rhs
@@ -365,6 +389,17 @@ def test_substitution_at_5000(table_small):
     assert r.observed == 24966  # S_19, the prime-square sum at the cap
     assert r.applicable
     assert r.verdict == PASS
+
+
+def test_substitution_reads_only_the_table_it_is_given(monkeypatch):
+    small = sieve_primes(1000)  # 168 primes, against M(10^9) = 631
+
+    def sieve(limit):
+        raise AssertionError(f"sieved to {limit}")
+
+    monkeypatch.setattr(cpsq.bounds, "sieve_primes", sieve)
+    with pytest.raises(ValueError, match=r"must be in 0\.\.168 .*got 631"):
+        check_window_cap_substitution(10**9, small)
 
 
 def test_substitution_sweep_returns_verdicts(table_small):
@@ -475,7 +510,7 @@ def test_substitution_equals_the_reference_up_to_m_2000(table_big):
     """Every x to 2*10^4, then x growing by 1% a step until M(x) passes
     2000, then the default verify grid."""
     xs = list(range(2, 20_001))
-    while analytic_max_window(xs[-1], table_big).analytic_m <= 2000:
+    while analytic_max_window(xs[-1]).analytic_m <= 2000:
         xs.append(xs[-1] * 101 // 100)
     xs.extend(cpsq.bounds.DEFAULT_VERIFY_GRID)
     for x in xs:

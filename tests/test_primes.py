@@ -361,6 +361,22 @@ def test_cache_rejects_prime_past_limit(tmp_path):
         load_table(path)
 
 
+def test_cache_rejects_primes_that_do_not_start_at_2(tmp_path):
+    # 24 primes are still a plausible pi(100), so only the first entry shows it
+    path = tmp_path / "no-two.cpsq"
+    save_table(PrimeTable(100, sieve_primes(100).primes[1:]), path)
+    with pytest.raises(ValueError, match="does not start at p_1 = 2"):
+        load_table(path)
+
+
+def test_cache_rejects_an_even_entry_past_2(tmp_path):
+    primes = np.insert(sieve_primes(100).primes, 2, 4)  # 2, 3, 4, 5, ...
+    path = tmp_path / "four.cpsq"
+    save_table(PrimeTable(100, primes), path)
+    with pytest.raises(ValueError, match="even entry > 2"):
+        load_table(path)
+
+
 def test_cache_rejects_too_few_primes_for_its_limit(tmp_path):
     # a header claiming limit 10^6 over the primes to 1000 once counted
     # 14196 values below 10^12 instead of 8867054

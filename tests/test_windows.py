@@ -140,7 +140,7 @@ def test_max_window_length(table_small):
     # S_3 = 38 <= 50 < S_4 = 87; 2397 is S_10 exactly
     for x, m in [(50, 3), (5000, 12), (2397, 10), (4, 1), (3, 0)]:
         assert table_small.prefix_index(x) == m, x
-        assert analytic_max_window(x, table_small).exact_m == m, x
+        assert analytic_max_window(x).exact_m == m, x
 
 
 def test_coverage_guard_names_the_needed_limit():
